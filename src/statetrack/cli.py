@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from . import gat, metrics, reasoning, semgraph
+from . import metrics, reasoning, semgraph
 from .abstraction import abstract_events, default_role_synonyms
 from .errors import ConfigError, InputFileError, SchemaError
 from .parses import default_class_map, default_ontology, load_srl, load_trips
@@ -61,7 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="drop (instead of rewriting to MOVE) a repeated destroy at a new location")
     predict.add_argument("--rules-off", default=None,
                          help="file listing local rule names to disable, one per line")
-    predict.add_argument("--jobs", type=int, default=1)
+    predict.add_argument("--jobs", type=_positive_int, default=1,
+                         help="worker processes (at least 1)")
     predict.set_defaults(func=cmd_predict)
 
     abstract = sub.add_parser("abstract", help="dump abstracted event frames as JSON")
@@ -99,6 +100,16 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("--format", choices=["text", "json"], default="text")
     check.set_defaults(func=cmd_gat_check)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_corpus_args(cmd) -> None:
@@ -272,6 +283,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_gat_check(args) -> int:
+    from . import gat  # numpy is needed by this command only
+
     failures = gat.check_invariants(seed=args.seed, rounds=args.rounds)
     if args.format == "json":
         print(json.dumps({"seed": args.seed, "rounds": args.rounds, "failures": failures}))

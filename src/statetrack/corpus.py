@@ -43,6 +43,11 @@ def exists(loc: str) -> bool:
     return loc != NONEXISTENT
 
 
+def spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """True when two half-open token spans share at least one token."""
+    return a[0] < b[1] and b[0] < a[1]
+
+
 def tokenize(text: str) -> list[str]:
     """Whitespace plus punctuation splitting, nothing smarter."""
     return _TOKEN_RE.findall(text)
@@ -234,7 +239,7 @@ def find_mentions(entity: Entity, step: Step) -> list[tuple[int, int]]:
     spans.sort(key=lambda s: (s[0], -(s[1] - s[0])))
     kept: list[tuple[int, int]] = []
     for span in spans:
-        if all(span[1] <= k[0] or span[0] >= k[1] for k in kept):
+        if not any(spans_overlap(span, k) for k in kept):
             kept.append(span)
     return sorted(kept)
 

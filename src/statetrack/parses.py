@@ -15,6 +15,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from .corpus import spans_overlap
 from .errors import InputFileError, SchemaError
 
 CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
@@ -102,6 +103,7 @@ def load_trips(path) -> list[LogicalFormGraph]:
     graphs = []
     for obj in data:
         graphs.append(_parse_lf_obj(obj, str(path)))
+    _reject_duplicate_indices(graphs, path)
     graphs.sort(key=lambda g: g.sentence_index)
     return graphs
 
@@ -204,7 +206,7 @@ def load_srl(path) -> list[SrlDoc]:
             args = []
             for a in f.get("args", []):
                 aspan = tuple(a["span"])
-                if _overlaps(aspan, pspan):
+                if spans_overlap(aspan, pspan):
                     raise SchemaError(
                         f"{path}: sentence {idx}: argument span {aspan} overlaps predicate {pspan}"
                     )
@@ -213,12 +215,17 @@ def load_srl(path) -> list[SrlDoc]:
                 SrlFrame(predicate_span=pspan, predicate_text=str(pred["text"]), args=tuple(args))
             )
         docs.append(SrlDoc(sentence_index=idx, frames=tuple(frames)))
+    _reject_duplicate_indices(docs, path)
     docs.sort(key=lambda d: d.sentence_index)
     return docs
 
 
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
+def _reject_duplicate_indices(parses, path) -> None:
+    seen: set[int] = set()
+    for parse in parses:
+        if parse.sentence_index in seen:
+            raise SchemaError(f"{path}: duplicate sentence_index {parse.sentence_index}")
+        seen.add(parse.sentence_index)
 
 
 def _read_json(path):

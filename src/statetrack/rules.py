@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abstraction import ArgRef, EventFrame
-from .corpus import Action, Entity, Step, StepAction
+from .corpus import Action, Entity, Step, StepAction, spans_overlap
 from .parses import ActionClass
 
 RULE_NAMES = (
@@ -56,7 +56,7 @@ def match_argument(arg: ArgRef, entity: Entity, step_index: int | None = None) -
             return True
     if step_index is not None and arg.span is not None:
         for span in entity.coref_spans(step_index):
-            if arg.span[0] < span[1] and span[0] < arg.span[1]:
+            if spans_overlap(arg.span, span):
                 return True
     return False
 

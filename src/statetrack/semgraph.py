@@ -10,6 +10,16 @@ same entity are linked across sentences ("SAME" / "COREF").
 
 A question-answering extension adds one question node tied to the queried
 entity's nodes and one node per step tied to that step's nodes.
+
+Cost: a graph indexes its node ids and edges, so adding a node or an edge
+is O(1).  Entity mentions are found once per (entity, step) and each
+phrase is normalized once.  Path synthesis runs one breadth-first search
+per surviving node of a sentence, O(n * (n + e)) for n nodes and e edges
+of that sentence's parse.  Cross-sentence links are emitted only from
+within a group of equal normalized text (SAME) or of one entity (COREF),
+so that step costs O(nodes * entities) plus the pairs it emits.  The
+output, whose SAME and COREF pairs grow quadratically with the repeats of
+a phrase, bounds the total.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .corpus import Entity, Procedure, Step, find_mentions, normalize
+from .corpus import Entity, Procedure, Step, find_mentions, normalize, spans_overlap
 from .errors import SchemaError
 from .parses import LogicalFormGraph, SrlDoc
 
@@ -27,6 +37,10 @@ SAME = "SAME"
 COREF = "COREF"
 QUESTION_EDGE = "QUESTION"
 STEP_EDGE = "STEP"
+
+# step index -> (entity name, the entity's mention spans in that step),
+# in entity order
+StepMentions = dict[int, list[tuple[str, list[tuple[int, int]]]]]
 
 
 @dataclass(frozen=True)
@@ -47,26 +61,39 @@ class GEdge:
 
 @dataclass
 class SemanticGraph:
+    """Nodes and edges in insertion order.  Grow the graph through
+    ``add_node`` and ``add_edge`` only: they keep the id and edge indexes
+    built from the initial lists in step with the lists."""
+
     nodes: list[GNode] = field(default_factory=list)
     edges: list[GEdge] = field(default_factory=list)
+    _by_id: dict[str, GNode] = field(init=False, repr=False, compare=False)
+    _edge_set: set[GEdge] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_id = {}
+        for node in self.nodes:
+            if node.id in self._by_id:
+                raise ValueError(f"duplicate node id {node.id!r}")
+            self._by_id[node.id] = node
+        self._edge_set = set(self.edges)
 
     def add_node(self, node: GNode) -> None:
-        if any(n.id == node.id for n in self.nodes):
+        if node.id in self._by_id:
             raise ValueError(f"duplicate node id {node.id!r}")
+        self._by_id[node.id] = node
         self.nodes.append(node)
 
     def add_edge(self, src: str, dst: str, type_label: str) -> None:
         if src == dst:
             return
         edge = GEdge(src, dst, type_label)
-        if edge not in self.edges:
+        if edge not in self._edge_set:
+            self._edge_set.add(edge)
             self.edges.append(edge)
 
     def node(self, node_id: str) -> GNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self._by_id[node_id]
 
     def to_dict(self) -> dict:
         return {
@@ -84,12 +111,19 @@ class SemanticGraph:
         }
 
 
-def _mention_spans(procedure: Procedure, step: Step) -> dict[tuple[int, int], str]:
+def _step_mentions(procedure: Procedure) -> StepMentions:
+    return {
+        step.index: [(e.canonical_name, find_mentions(e, step)) for e in procedure.entities]
+        for step in procedure.steps
+    }
+
+
+def _mention_spans(step_mentions: StepMentions, step: Step) -> dict[tuple[int, int], str]:
     """Spans in a step that mention a tracked entity, span -> entity name."""
     out: dict[tuple[int, int], str] = {}
-    for entity in procedure.entities:
-        for span in find_mentions(entity, step):
-            out.setdefault(span, entity.canonical_name)
+    for name, spans in step_mentions[step.index]:
+        for span in spans:
+            out.setdefault(span, name)
     return out
 
 
@@ -98,10 +132,6 @@ def _check_span(span: tuple[int, int], step: Step, what: str) -> None:
         raise SchemaError(
             f"step {step.index}: {what} span {span} outside sentence of {len(step.tokens)} tokens"
         )
-
-
-def _overlaps(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
 
 
 def build_srl_graph(
@@ -113,10 +143,11 @@ def build_srl_graph(
     cross-sentence mention links."""
     by_index = {d.sentence_index: d for d in srl_docs}
     _require_all_steps(procedure, by_index)
+    step_mentions = _step_mentions(procedure)
     graph = SemanticGraph()
     for step in procedure.steps:
         doc = by_index[step.index]
-        mentions = _mention_spans(procedure, step)
+        mentions = _mention_spans(step_mentions, step)
         span_to_id: dict[tuple[int, int], str] = {}
 
         def ensure(span: tuple[int, int], text: str, kind: str) -> str:
@@ -125,7 +156,7 @@ def build_srl_graph(
                 return span_to_id[span]
             node_id = f"s{step.index}.{span[0]}.{span[1]}"
             resolved = kind
-            if kind != "predicate" and any(_overlaps(span, m) for m in mentions):
+            if kind != "predicate" and any(spans_overlap(span, m) for m in mentions):
                 resolved = "entity_mention"
             graph.add_node(GNode(node_id, resolved, step.index, span, text))
             span_to_id[span] = node_id
@@ -146,10 +177,10 @@ def build_srl_graph(
                         continue
                     graph.add_edge(arg_ids[i][0], arg_ids[j][0], "")
         for span in sorted(mentions):
-            if span not in span_to_id and not any(_overlaps(span, s) for s in span_to_id):
+            if span not in span_to_id and not any(spans_overlap(span, s) for s in span_to_id):
                 text = " ".join(step.tokens[span[0] : span[1]])
                 ensure(span, text, "entity_mention")
-    _link_across_sentences(graph, procedure)
+    _link_across_sentences(graph, step_mentions)
     return graph
 
 
@@ -157,10 +188,11 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
     """Graph over logical-form parses, keeping role labels on the edges."""
     by_index = {g.sentence_index: g for g in lf_graphs}
     _require_all_steps(procedure, by_index)
+    step_mentions = _step_mentions(procedure)
     graph = SemanticGraph()
     for step in procedure.steps:
         lf = by_index[step.index]
-        mentions = _mention_spans(procedure, step)
+        mentions = _mention_spans(step_mentions, step)
         included: dict[str, str] = {}  # lf node id -> graph node id
         for node in lf.nodes:
             if not node.word or node.span is None:
@@ -168,7 +200,7 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
             _check_span(node.span, step, f"node {node.id}")
             if node.is_predicate:
                 kind = "predicate"
-            elif any(_overlaps(node.span, m) for m in mentions):
+            elif any(spans_overlap(node.span, m) for m in mentions):
                 kind = "entity_mention"
             else:
                 kind = "noun_phrase"
@@ -185,24 +217,26 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
                 graph.add_edge(included[edge.src], included[edge.dst], edge.label)
                 direct.add(frozenset((edge.src, edge.dst)))
 
+        # Pairs (a, b) with a before b in parse order, in that order.
         order = [n.id for n in lf.nodes if n.id in included]
-        for i in range(len(order)):
-            for j in range(i + 1, len(order)):
-                a, b = order[i], order[j]
-                if frozenset((a, b)) in direct:
-                    continue
-                labels = _shortest_labels(adjacency, a, b)
-                if labels is not None:
-                    graph.add_edge(included[a], included[b], "|".join(labels))
-    _link_across_sentences(graph, procedure)
+        position = {node_id: k for k, node_id in enumerate(order)}
+        for k, a in enumerate(order):
+            labels = _shortest_labels(adjacency, a)
+            for m in sorted(position[b] for b in labels if position.get(b, -1) > k):
+                b = order[m]
+                if frozenset((a, b)) not in direct:
+                    graph.add_edge(included[a], included[b], "|".join(labels[b]))
+    _link_across_sentences(graph, step_mentions)
     return graph
 
 
-def _shortest_labels(adjacency, start: str, goal: str) -> list[str] | None:
-    """Labels along the shortest undirected path, smallest label sequence
-    among equally short paths; None when disconnected."""
-    if start == goal:
-        return []
+def _shortest_labels(adjacency, start: str) -> dict[str, tuple[str, ...]]:
+    """For every node reachable from start: the labels along the shortest
+    undirected path, smallest label sequence among equally short paths.
+
+    A node's sequence is fixed in the layer that first reaches it, from the
+    sequences of the layer before, so it does not depend on which node a
+    caller is looking for."""
     assigned: dict[str, tuple[str, ...]] = {start: ()}
     layer = [start]
     while layer:
@@ -214,35 +248,40 @@ def _shortest_labels(adjacency, start: str, goal: str) -> list[str] | None:
                 cand = assigned[node] + (label,)
                 if neighbor not in candidates or cand < candidates[neighbor]:
                     candidates[neighbor] = cand
-        for node, seq in candidates.items():
-            assigned[node] = seq
-        if goal in assigned:
-            return list(assigned[goal])
+        assigned.update(candidates)
         layer = list(candidates)
-    return None
+    return assigned
 
 
-def _link_across_sentences(graph: SemanticGraph, procedure: Procedure) -> None:
-    """SAME edges for equal phrases, COREF edges for same-entity mentions."""
+def _link_across_sentences(graph: SemanticGraph, step_mentions: StepMentions) -> None:
+    """SAME edges for equal phrases, COREF edges for same-entity mentions.
+
+    A pair of phrase nodes from different steps is linked SAME when their
+    normalized texts are equal, else COREF when both overlap a mention of
+    one entity.  Edges come out in the order of the pair's (first, second)
+    positions among the phrase nodes."""
     phrase_nodes = [n for n in graph.nodes if n.kind in ("entity_mention", "noun_phrase")]
-    entity_of: dict[str, set[str]] = {}
-    for entity in procedure.entities:
-        for step in procedure.steps:
-            spans = find_mentions(entity, step)
-            for node in phrase_nodes:
-                if node.step_index == step.index and any(
-                    _overlaps(node.span, s) for s in spans
-                ):
-                    entity_of.setdefault(node.id, set()).add(entity.canonical_name)
-    for i in range(len(phrase_nodes)):
-        for j in range(i + 1, len(phrase_nodes)):
-            a, b = phrase_nodes[i], phrase_nodes[j]
-            if a.step_index == b.step_index:
-                continue
-            if normalize(a.text) == normalize(b.text):
-                graph.add_edge(a.id, b.id, SAME)
-            elif entity_of.get(a.id, set()) & entity_of.get(b.id, set()):
-                graph.add_edge(a.id, b.id, COREF)
+    by_text: dict[str, list[int]] = {}
+    by_entity: dict[str, list[int]] = {}
+    for k, node in enumerate(phrase_nodes):
+        by_text.setdefault(normalize(node.text), []).append(k)
+        names = {
+            name
+            for name, spans in step_mentions[node.step_index]
+            if any(spans_overlap(node.span, s) for s in spans)
+        }
+        for name in names:
+            by_entity.setdefault(name, []).append(k)
+
+    links: dict[tuple[int, int], str] = {}
+    for label, groups in ((SAME, by_text), (COREF, by_entity)):
+        for group in groups.values():
+            for x, i in enumerate(group):
+                for j in group[x + 1 :]:
+                    if phrase_nodes[i].step_index != phrase_nodes[j].step_index:
+                        links.setdefault((i, j), label)
+    for (i, j), label in sorted(links.items()):
+        graph.add_edge(phrase_nodes[i].id, phrase_nodes[j].id, label)
 
 
 def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) -> SemanticGraph:
@@ -253,6 +292,9 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
     (number of steps + 1) nodes.
     """
     out = SemanticGraph(nodes=list(graph.nodes), edges=list(graph.edges))
+    by_step: dict[int | None, list[GNode]] = {}
+    for node in graph.nodes:
+        by_step.setdefault(node.step_index, []).append(node)
     question_id = "question"
     out.add_node(
         GNode(question_id, "question", None, None, f"where is {entity.canonical_name}")
@@ -260,12 +302,13 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
     linked = 0
     for step in procedure.steps:
         spans = find_mentions(entity, step)
-        for node in graph.nodes:
-            if node.step_index != step.index or node.span is None:
+        for node in by_step.get(step.index, []):
+            if node.span is None or node.kind == "predicate":
                 continue
-            if node.kind == "predicate":
-                continue
-            if any(_overlaps(node.span, s) for s in spans) or normalize(node.text) in entity.aliases:
+            if (
+                any(spans_overlap(node.span, s) for s in spans)
+                or normalize(node.text) in entity.aliases
+            ):
                 out.add_edge(question_id, node.id, QUESTION_EDGE)
                 linked += 1
     if linked == 0:
@@ -276,9 +319,8 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
     for step in procedure.steps:
         step_id = f"step.{step.index}"
         out.add_node(GNode(step_id, "step", step.index, None, step.text))
-        for node in graph.nodes:
-            if node.step_index == step.index:
-                out.add_edge(step_id, node.id, STEP_EDGE)
+        for node in by_step.get(step.index, []):
+            out.add_edge(step_id, node.id, STEP_EDGE)
     return out
 
 

@@ -1,6 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from statetrack.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _predict_args(data_dir, out, extra=()):
@@ -52,6 +60,29 @@ class TestPredict:
         args = _predict_args(data_dir, tmp_path / "x.tsv")
         args[2] = str(bad)
         assert main(args) == 4
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, data_dir, tmp_path, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_predict_args(data_dir, tmp_path / "x.tsv", ["--jobs", jobs]))
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "x.tsv").exists()
+
+    def test_duplicate_sentence_index_is_exit_4(self, data_dir, tmp_path, capsys):
+        parses = tmp_path / "parses"
+        parses.mkdir()
+        for src in (data_dir / "parses").iterdir():
+            (parses / src.name).write_bytes(src.read_bytes())
+        book = parses / "book-1.trips.json"
+        graphs = json.loads(book.read_text())
+        if isinstance(graphs, dict):
+            graphs = [graphs]
+        book.write_text(json.dumps(graphs + graphs[:1]))
+        args = _predict_args(data_dir, tmp_path / "x.tsv")
+        args[4] = str(parses)
+        assert main(args) == 4
+        assert "duplicate sentence_index" in capsys.readouterr().err
 
     def test_rules_off(self, data_dir, tmp_path):
         override = tmp_path / "off.txt"
@@ -209,6 +240,49 @@ class TestOtherCommands:
         assert [g["entity"] for g in graphs] == ["book"]
         kinds = {n["kind"] for n in graphs[0]["graph"]["nodes"]}
         assert "question" in kinds and "step" in kinds
+
+    @pytest.mark.parametrize(
+        "name, extra",
+        [
+            ("graphs_trips.json", ["--parser", "trips"]),
+            ("graphs_qa.json", ["--qa-entity", "water", "--qa-entity", "magma",
+                                "--qa-entity", "rock"]),
+        ],
+    )
+    def test_build_graph_with_coref_matches_golden_file(self, data_dir, tmp_path, name, extra):
+        out = tmp_path / name
+        code = main([
+            "build-graph",
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(data_dir / "coref_small.json"),
+            "--parses", str(data_dir / "parses"),
+            "--output", str(out),
+            *extra,
+        ])
+        assert code == 0
+        assert out.read_bytes() == (data_dir / "golden" / name).read_bytes()
+
+    def test_build_graph_srl_matches_golden_file(self, data_dir, tmp_path):
+        out = tmp_path / "graphs_srl.json"
+        code = main([
+            "build-graph",
+            "--corpus", str(data_dir / "corpus_predict.json"),
+            "--parses", str(data_dir / "parses"),
+            "--parser", "srl",
+            "--output", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == (data_dir / "golden" / "graphs_srl.json").read_bytes()
+
+    def test_cli_import_does_not_load_numpy(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        probe = "import sys, statetrack.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0

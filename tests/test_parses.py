@@ -85,6 +85,20 @@ class TestLoadTrips:
         )
         assert [g.sentence_index for g in load_trips(path)] == [1, 2]
 
+    def test_duplicate_sentence_index_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            json.dumps(
+                [
+                    {"sentence_index": 1, "root": None, "nodes": [], "edges": []},
+                    {"sentence_index": 2, "root": None, "nodes": [], "edges": []},
+                    {"sentence_index": 1, "root": None, "nodes": [], "edges": []},
+                ]
+            )
+        )
+        with pytest.raises(SchemaError, match="duplicate sentence_index 1"):
+            load_trips(path)
+
 
 class TestLoadSrl:
     def test_basic(self, tmp_path):
@@ -149,6 +163,14 @@ class TestLoadSrl:
         again = tmp_path / "again.json"
         again.write_text(json.dumps([d.to_dict() for d in docs]))
         assert load_srl(again) == docs
+
+    def test_duplicate_sentence_index_rejected(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text(
+            json.dumps([{"sentence_index": 3, "frames": []}, {"sentence_index": 3, "frames": []}])
+        )
+        with pytest.raises(SchemaError, match="duplicate sentence_index 3"):
+            load_srl(path)
 
 
 class TestOntologyClass:

@@ -1,7 +1,17 @@
 import json
 import random
 
-from statetrack.corpus import Entity, Procedure, Step, tokenize
+import pytest
+
+from statetrack.corpus import (
+    Entity,
+    Procedure,
+    Step,
+    find_mentions,
+    normalize,
+    spans_overlap,
+    tokenize,
+)
 from statetrack.parses import (
     LfEdge,
     LfNode,
@@ -11,6 +21,11 @@ from statetrack.parses import (
     SrlFrame,
 )
 from statetrack.semgraph import (
+    COREF,
+    SAME,
+    GNode,
+    SemanticGraph,
+    _shortest_labels,
     build_srl_graph,
     build_trips_graph,
     extend_qa_graph,
@@ -27,6 +42,104 @@ def _proc(texts, entities):
 
 def _node(nid, word, span, indicator="THE", onto="X"):
     return LfNode(nid, indicator, onto, word, span)
+
+
+def _pairwise_shortest_labels(adjacency, start, goal):
+    """Reference: one search per (start, goal) pair, stopping at the goal."""
+    if start == goal:
+        return []
+    assigned = {start: ()}
+    layer = [start]
+    while layer:
+        candidates = {}
+        for node in layer:
+            for neighbor, label in adjacency.get(node, []):
+                if neighbor in assigned:
+                    continue
+                cand = assigned[node] + (label,)
+                if neighbor not in candidates or cand < candidates[neighbor]:
+                    candidates[neighbor] = cand
+        for node, seq in candidates.items():
+            assigned[node] = seq
+        if goal in assigned:
+            return list(assigned[goal])
+        layer = list(candidates)
+    return None
+
+
+def _all_pairs_links(graph, procedure):
+    """Reference: SAME/COREF edges from a scan of every cross-sentence pair."""
+    phrase = [n for n in graph.nodes if n.kind in ("entity_mention", "noun_phrase")]
+    entity_of = {}
+    for entity in procedure.entities:
+        for step in procedure.steps:
+            spans = find_mentions(entity, step)
+            for node in phrase:
+                if node.step_index == step.index and any(
+                    spans_overlap(node.span, s) for s in spans
+                ):
+                    entity_of.setdefault(node.id, set()).add(entity.canonical_name)
+    out = []
+    for i, a in enumerate(phrase):
+        for b in phrase[i + 1 :]:
+            if a.step_index == b.step_index:
+                continue
+            if normalize(a.text) == normalize(b.text):
+                out.append((a.id, b.id, SAME))
+            elif entity_of.get(a.id, set()) & entity_of.get(b.id, set()):
+                out.append((a.id, b.id, COREF))
+    return out
+
+
+class TestSemanticGraph:
+    def test_duplicate_node_rejected(self):
+        graph = SemanticGraph()
+        graph.add_node(GNode("a", "noun_phrase", 1, (0, 1), "a"))
+        with pytest.raises(ValueError, match="duplicate node id"):
+            graph.add_node(GNode("a", "noun_phrase", 2, (0, 1), "a"))
+        with pytest.raises(ValueError, match="duplicate node id"):
+            SemanticGraph(nodes=graph.nodes * 2)
+
+    def test_edges_deduplicated_and_self_loops_skipped(self):
+        base = SemanticGraph()
+        base.add_edge("a", "b", "X")
+        base.add_edge("a", "a", "X")
+        copy = SemanticGraph(nodes=list(base.nodes), edges=list(base.edges))
+        copy.add_edge("a", "b", "X")
+        copy.add_edge("b", "a", "X")
+        assert [(e.src, e.dst) for e in copy.edges] == [("a", "b"), ("b", "a")]
+        assert len(base.edges) == 1
+
+    def test_node_lookup(self):
+        graph = SemanticGraph()
+        graph.add_node(GNode("a", "noun_phrase", 1, (0, 1), "a"))
+        assert graph.node("a").text == "a"
+        with pytest.raises(KeyError):
+            graph.node("b")
+
+
+class TestShortestLabels:
+    def test_single_source_matches_pairwise_search(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            n = rng.randint(1, 9)
+            ids = [f"N{i}" for i in range(n)]
+            adjacency = {i: [] for i in ids}
+            # Few labels and parallel edges give ties between equally short
+            # paths; a low edge rate leaves disconnected parts.
+            for _ in range(rng.randint(0, 2 * n)):
+                a, b = rng.choice(ids), rng.choice(ids)
+                if a == b:
+                    continue
+                label = rng.choice("ABC")
+                adjacency[a].append((b, label))
+                adjacency[b].append((a, label))
+            for start in ids:
+                labels = _shortest_labels(adjacency, start)
+                for goal in ids:
+                    want = _pairwise_shortest_labels(adjacency, start, goal)
+                    got = list(labels[goal]) if goal in labels else None
+                    assert got == want, (adjacency, start, goal)
 
 
 class TestSrlGraph:
@@ -71,6 +184,67 @@ class TestSrlGraph:
         graph = build_srl_graph(proc, docs)
         same = [e for e in graph.edges if e.type_label == "SAME"]
         assert len(same) == 1
+
+    def test_same_wins_over_coref(self):
+        proc = _proc(["The water falls .", "The water rises ."], ["water"])
+        graph = build_srl_graph(proc, [SrlDoc(1, ()), SrlDoc(2, ())])
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.1.2", "s2.1.2", SAME)
+        ]
+
+    def test_node_over_two_entities_links_to_both(self):
+        proc = _proc(
+            ["the salt water flows .", "The salt stays .", "The water boils ."],
+            ["salt", "water"],
+        )
+        lfs = [
+            LogicalFormGraph(1, (_node("N1", "salt water", (1, 3)),), (), None),
+            LogicalFormGraph(2, (_node("N1", "salt", (1, 2)),), (), None),
+            LogicalFormGraph(3, (_node("N1", "water", (1, 2)),), (), None),
+        ]
+        graph = build_trips_graph(proc, lfs)
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.N1", "s2.N1", COREF),
+            ("s1.N1", "s3.N1", COREF),
+        ]
+
+    def test_links_match_all_pairs_scan(self):
+        rng = random.Random(23)
+        vocab = ["the", "water", "rock", "salt", "it", "sea", "a"]
+        names = ["water", "rock", "salt", "salt water", "sea"]
+        for _ in range(60):
+            steps, docs = [], []
+            for index in range(1, rng.randint(2, 5)):
+                tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 7)))
+                steps.append(Step(index, " ".join(tokens), tokens))
+                frames = []
+                for _ in range(rng.randint(0, 2)):
+                    p = rng.randrange(len(tokens))
+                    args = []
+                    for _ in range(rng.randint(0, 3)):
+                        a = rng.randrange(len(tokens))
+                        b = rng.randint(a + 1, min(a + 3, len(tokens)))
+                        if spans_overlap((a, b), (p, p + 1)):
+                            continue
+                        args.append(SrlArg("ARG1", (a, b), " ".join(tokens[a:b])))
+                    frames.append(SrlFrame((p, p + 1), tokens[p], tuple(args)))
+                docs.append(SrlDoc(index, tuple(frames)))
+            entities = []
+            for name in rng.sample(names, rng.randint(1, 3)):
+                coref = []
+                for step in steps:
+                    if rng.random() < 0.3:
+                        a = rng.randrange(len(step.tokens))
+                        coref.append((step.index, (a, a + 1)))
+                entities.append(Entity(name, (name,), tuple(coref)))
+            proc = Procedure("r", tuple(steps), tuple(entities))
+            graph = build_srl_graph(proc, docs)
+            links = [
+                (e.src, e.dst, e.type_label)
+                for e in graph.edges
+                if e.type_label in (SAME, COREF)
+            ]
+            assert links == _all_pairs_links(graph, proc)
 
     def test_coref_edge(self):
         proc = Procedure(
@@ -121,6 +295,20 @@ class TestTripsGraph:
         )
         graph = build_trips_graph(proc, [lf])
         assert [(e.type_label) for e in graph.edges] == ["AFFECTED"]
+
+    def test_duplicate_lf_edges_exported_once(self):
+        proc = _proc(["move the book ."], ["book"])
+        lf = self._lf(
+            [
+                _node("V1", "move", (0, 1), indicator="F"),
+                _node("N1", "book", (2, 3)),
+            ],
+            [LfEdge("V1", "AFFECTED", "N1"), LfEdge("V1", "AFFECTED", "N1")],
+        )
+        graph = build_trips_graph(proc, [lf])
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.V1", "s1.N1", "AFFECTED")
+        ]
 
     def test_hidden_node_path_synthesized(self):
         proc = _proc(["a b ."], [])
@@ -199,6 +387,50 @@ class TestTripsGraph:
                 for e in graph.edges
             }
             assert connected_pairs == edge_pairs
+
+    def test_edges_match_pairwise_reference(self):
+        # Role edges in parse order, then one path edge per pair of surviving
+        # nodes in (first, second) parse order, labelled by a search per pair.
+        rng = random.Random(29)
+        for _ in range(100):
+            n = rng.randint(2, 10)
+            nodes = []
+            for i in range(n):
+                hidden = rng.random() < 0.4
+                nodes.append(
+                    _node(
+                        f"N{i}",
+                        "" if hidden else f"w{i}",
+                        None if hidden else (i, i + 1),
+                        indicator="F" if hidden else "THE",
+                    )
+                )
+            edges = []
+            for _ in range(rng.randint(0, 2 * n)):
+                a, b = rng.sample(range(n), 2)
+                edges.append(LfEdge(f"N{a}", rng.choice("AB"), f"N{b}"))
+            proc = _proc([" ".join(["w"] * n) + " ."], [])
+            graph = build_trips_graph(proc, [self._lf(nodes, edges)])
+
+            visible = [nd.id for nd in nodes if nd.word]
+            adjacency = {nd.id: [] for nd in nodes}
+            want = []
+            direct = set()
+            for e in edges:
+                adjacency[e.src].append((e.dst, e.label))
+                adjacency[e.dst].append((e.src, e.label))
+                if e.src in visible and e.dst in visible:
+                    want.append((f"s1.{e.src}", f"s1.{e.dst}", e.label))
+                    direct.add(frozenset((e.src, e.dst)))
+            for i, a in enumerate(visible):
+                for b in visible[i + 1 :]:
+                    if frozenset((a, b)) in direct:
+                        continue
+                    labels = _pairwise_shortest_labels(adjacency, a, b)
+                    if labels is not None:
+                        want.append((f"s1.{a}", f"s1.{b}", "|".join(labels)))
+            got = [(e.src, e.dst, e.type_label) for e in graph.edges]
+            assert got == list(dict.fromkeys(want))
 
     def test_no_self_loops_or_duplicates(self, data_dir):
         from statetrack.corpus import load_procedures
