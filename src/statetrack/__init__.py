@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .corpus import (
     Action,
-    CrfTag,
     Entity,
     Procedure,
     StateGrid,
@@ -13,7 +12,6 @@ from .corpus import (
     derive_actions,
     find_mentions,
     load_procedures,
-    location_candidates,
     normalize,
 )
 from .parses import ActionClass, Ontology, ActionClassMap, load_srl, load_trips, ontology_class

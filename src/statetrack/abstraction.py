@@ -8,19 +8,16 @@ an event; they come out separately as passive location facts.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 from .corpus import normalize
-from .errors import InputFileError, SchemaError
 from .parses import (
-    CONFIG_DIR_ENV,
     ActionClass,
     ActionClassMap,
     LogicalFormGraph,
     Ontology,
+    _config_path,
+    _read_pairs_tsv,
     ontology_class,
 )
 
@@ -87,18 +84,8 @@ class RoleSynonyms:
 
     @classmethod
     def from_file(cls, path) -> "RoleSynonyms":
-        path = Path(path)
-        if not path.exists():
-            raise InputFileError(f"role-synonym file not found: {path}")
-        entries = {}
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected 'raw_label<TAB>target'")
-            entries[parts[0].strip().upper()] = parts[1].strip().upper()
-        return cls(entries)
+        pairs = _read_pairs_tsv(path, "role-synonym file", ("raw_label", "target"))
+        return cls({label: target for _, label, target in pairs})
 
     def canonical(self, raw_label: str) -> str:
         label = raw_label.upper()
@@ -106,15 +93,7 @@ class RoleSynonyms:
 
 
 def default_role_synonyms(path=None) -> RoleSynonyms:
-    if path is not None:
-        return RoleSynonyms.from_file(path)
-    env_dir = os.environ.get(CONFIG_DIR_ENV)
-    if env_dir:
-        return RoleSynonyms.from_file(Path(env_dir) / "role_synonyms.tsv")
-    with resources.as_file(
-        resources.files("statetrack").joinpath("data", "role_synonyms.tsv")
-    ) as p:
-        return RoleSynonyms.from_file(p)
+    return RoleSynonyms.from_file(_config_path("role_synonyms.tsv", path))
 
 
 def abstract_events(

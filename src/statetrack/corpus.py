@@ -35,10 +35,6 @@ def normalize(text: str) -> str:
     return " ".join(parts)
 
 
-def is_known(loc: str) -> bool:
-    return loc not in (NONEXISTENT, UNKNOWN)
-
-
 def exists(loc: str) -> bool:
     return loc != NONEXISTENT
 
@@ -58,16 +54,6 @@ class Action(str, Enum):
     CREATE = "CREATE"
     DESTROY = "DESTROY"
     MOVE = "MOVE"
-
-
-class CrfTag(str, Enum):
-    """Per-step existence tags in the standard five-value scheme."""
-
-    O_D = "O_D"  # does not exist, after destruction
-    O_C = "O_C"  # does not exist, before creation
-    E = "E"      # exists, unchanged
-    C = "C"      # created at this step
-    D = "D"      # destroyed at this step
 
 
 @dataclass(frozen=True)
@@ -139,11 +125,6 @@ class StateGrid:
     procedure_id: str
     rows: dict[str, list[str]]
 
-    @property
-    def num_steps(self) -> int:
-        first = next(iter(self.rows.values()))
-        return len(first) - 1
-
     def row(self, entity_name: str) -> list[str]:
         return self.rows[entity_name]
 
@@ -159,26 +140,37 @@ def make_entity(raw_name: str) -> Entity:
 # ---------------------------------------------------------------------------
 # Gold action derivation and replay
 
-def derive_actions(row: list[str]) -> list[StepAction]:
-    """Infer the per-step actions implied by a location row.
+def transition(before: str, after: str) -> Action:
+    """The action that turns one grid cell into the next.
 
-    For each step t, comparing cell t-1 to cell t: appearing from "-" is a
-    CREATE, vanishing to "-" is a DESTROY, any other change of value (including
-    known <-> unknown) is a MOVE, and identical values mean no action.
+    Appearing from "-" is a CREATE, vanishing to "-" is a DESTROY, any other
+    change of value (including known <-> unknown) is a MOVE, and identical
+    values mean no action.  Every action derivation and every metric tier
+    classifies cells through this one rule.
     """
+    if before == NONEXISTENT:
+        return Action.NONE if after == NONEXISTENT else Action.CREATE
+    if after == NONEXISTENT:
+        return Action.DESTROY
+    return Action.MOVE if before != after else Action.NONE
+
+
+def derive_actions(row: list[str]) -> list[StepAction]:
+    """Infer the per-step actions implied by a location row: the
+    ``transition`` of each pair of adjacent cells, with its locations."""
     if len(row) < 2:
         raise ValueError("row needs at least 2 cells")
     actions = []
-    for t in range(1, len(row)):
-        before, after = row[t - 1], row[t]
-        if not exists(before) and exists(after):
-            actions.append(StepAction(Action.CREATE, to_loc=after))
-        elif exists(before) and not exists(after):
-            actions.append(StepAction(Action.DESTROY, from_loc=before))
-        elif exists(before) and exists(after) and before != after:
-            actions.append(StepAction(Action.MOVE, from_loc=before, to_loc=after))
+    for before, after in zip(row, row[1:]):
+        action = transition(before, after)
+        if action is Action.CREATE:
+            actions.append(StepAction(action, to_loc=after))
+        elif action is Action.DESTROY:
+            actions.append(StepAction(action, from_loc=before))
+        elif action is Action.MOVE:
+            actions.append(StepAction(action, from_loc=before, to_loc=after))
         else:
-            actions.append(StepAction(Action.NONE))
+            actions.append(StepAction(action))
     return actions
 
 
@@ -195,26 +187,6 @@ def replay_actions(initial: str, actions: list[StepAction]) -> list[str]:
         else:
             row.append(row[-1])
     return row
-
-
-def derive_tags(row: list[str]) -> list[CrfTag]:
-    """Per-step five-value existence tags for a location row."""
-    tags = []
-    for act, cell in zip(derive_actions(row), row[1:]):
-        if act.action is Action.CREATE:
-            tags.append(CrfTag.C)
-        elif act.action is Action.DESTROY:
-            tags.append(CrfTag.D)
-        elif exists(cell):
-            tags.append(CrfTag.E)
-        else:
-            tags.append(CrfTag.O_C if NONEXISTENT == cell and _before_creation(row, len(tags)) else CrfTag.O_D)
-    return tags
-
-
-def _before_creation(row: list[str], step_pos: int) -> bool:
-    # Nonexistent cell: O_C if the entity appears later, O_D otherwise.
-    return any(exists(c) for c in row[step_pos + 2 :])
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +214,6 @@ def find_mentions(entity: Entity, step: Step) -> list[tuple[int, int]]:
         if not any(spans_overlap(span, k) for k in kept):
             kept.append(span)
     return sorted(kept)
-
-
-def location_candidates(procedure: Procedure, parses) -> list[str]:
-    """Union of normalized noun-phrase texts across all step parses,
-    deduplicated, in (step, token position) order.
-
-    Accepts either logical-form graphs or role-labeled frame documents; both
-    expose ``noun_phrases()`` yielding (token_span, text) pairs.
-    """
-    by_index = {p.sentence_index: p for p in parses}
-    missing = [s.index for s in procedure.steps if s.index not in by_index]
-    if missing:
-        raise SchemaError(
-            f"procedure {procedure.id}: no parse for step(s) {missing}"
-        )
-    seen: dict[str, None] = {}
-    for step in procedure.steps:
-        phrases = sorted(by_index[step.index].noun_phrases(), key=lambda p: p[0])
-        for _span, text in phrases:
-            norm = normalize(text)
-            if norm and norm not in seen:
-                seen[norm] = None
-    return list(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +318,7 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
         if len(parts) != 3:
             raise SchemaError(f"{para_file}:{lineno}: expected 3 columns, got {len(parts)}")
         pid, idx, text = parts
-        sentences.setdefault(pid, {})[int(idx)] = text
+        sentences.setdefault(pid, {})[_int_column(idx, f"{para_file}:{lineno}")] = text
 
     raw = read_action_tsv(grid_file)
     out = []
@@ -473,12 +422,19 @@ def read_action_tsv(path) -> dict[str, dict[str, dict[int, tuple[str, str]]]]:
         pid, step, entity, action, before, after = parts
         if action not in Action.__members__:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
+        t = _int_column(step, f"{path}:{lineno}")
         per_step = out.setdefault(pid, {}).setdefault(entity, {})
-        t = int(step)
         if t in per_step:
             raise SchemaError(f"{path}:{lineno}: duplicate row for ({pid}, {entity}, step {t})")
         per_step[t] = (normalize(before), normalize(after))
     return out
+
+
+def _int_column(text: str, where: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SchemaError(f"{where}: expected an integer, got {text!r}") from None
 
 
 def grids_from_action_tsv(path) -> dict[str, StateGrid]:

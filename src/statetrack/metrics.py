@@ -10,6 +10,12 @@ outputs, conversions, and moves, averaged into one F1.
 Decision tier: every gold non-NONE decision is bucketed by whether the
 entity and its location are mentioned in the step, then scored for action
 and location correctness per bucket.
+
+Every tier classifies a pair of adjacent cells with ``corpus.transition``
+and nothing else.  Cost: one pass per row per tier, so each tier is linear
+in the number of grid cells; the document tier finds conversions through a
+per-step index of created entities instead of comparing entity pairs, and
+the decision tier normalizes each step's tokens once.
 """
 
 from __future__ import annotations
@@ -22,15 +28,17 @@ from .corpus import (
     Action,
     Procedure,
     StateGrid,
-    derive_actions,
     exists,
     find_mentions,
     normalize,
+    transition,
 )
 from .errors import SchemaError
 from .parses import ActionClass, ontology_class
 
 EVENT_KINDS = ("created", "destroyed", "moved")
+
+_EVENT_ACTION = {"created": Action.CREATE, "destroyed": Action.DESTROY, "moved": Action.MOVE}
 
 CATEGORY_NAMES = (
     "local",
@@ -41,18 +49,12 @@ CATEGORY_NAMES = (
 )
 
 
-def event_steps(row: list[str], kind: str) -> list[int]:
-    """Steps at which the row shows the event happening."""
-    steps = []
-    for t in range(1, len(row)):
-        before, after = row[t - 1], row[t]
-        if kind == "created" and not exists(before) and exists(after):
-            steps.append(t)
-        elif kind == "destroyed" and exists(before) and not exists(after):
-            steps.append(t)
-        elif kind == "moved" and exists(before) and exists(after) and before != after:
-            steps.append(t)
-    return steps
+def _row_events(row: list[str]) -> dict[Action, list[int]]:
+    """Steps at which the row shows each action happening, in one pass."""
+    events: dict[Action, list[int]] = {action: [] for action in Action}
+    for t, (before, after) in enumerate(zip(row, row[1:]), start=1):
+        events[transition(before, after)].append(t)
+    return events
 
 
 def _validate_alignment(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> None:
@@ -105,9 +107,11 @@ def eval_sentence_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) 
         for ent in sorted(gold[pid].rows):
             gold_row = gold[pid].rows[ent]
             pred_row = pred[pid].rows[ent]
+            gold_events = _row_events(gold_row)
+            pred_events = _row_events(pred_row)
             for kind in EVENT_KINDS:
-                gold_steps = event_steps(gold_row, kind)
-                pred_steps = event_steps(pred_row, kind)
+                gold_steps = gold_events[_EVENT_ACTION[kind]]
+                pred_steps = pred_events[_EVENT_ACTION[kind]]
                 totals["cat1"] += 1
                 credits["cat1"] += int(bool(gold_steps) == bool(pred_steps))
                 if not gold_steps:
@@ -186,14 +190,9 @@ class DocumentScores:
 
 def eval_document_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> DocumentScores:
     _validate_alignment(pred, gold)
-    criteria = {}
-    for name, extract in (
-        ("inputs", _input_set),
-        ("outputs", _output_set),
-        ("conversions", _conversion_set),
-        ("moves", _move_set),
-    ):
-        criteria[name] = _prf(extract(pred), extract(gold))
+    pred_sets = _document_sets(pred)
+    gold_sets = _document_sets(gold)
+    criteria = {name: _prf(pred_sets[name], gold_sets[name]) for name in gold_sets}
     k = len(criteria)
     return DocumentScores(
         criteria=criteria,
@@ -211,47 +210,33 @@ def _prf(pred_set: set, gold_set: set) -> CriterionScore:
     return CriterionScore(precision, recall, f1, len(pred_set), len(gold_set), matched)
 
 
-def _input_set(grids: dict[str, StateGrid]) -> set:
-    # Existed before the process, destroyed during it, never (re)created.
-    out = set()
+def _document_sets(grids: dict[str, StateGrid]) -> dict[str, set]:
+    """The four criteria's sets, from one pass over every row."""
+    inputs, outputs, conversions, moves = set(), set(), set(), set()
     for pid, grid in grids.items():
+        created_at: dict[int, list[str]] = {}
+        destroyed: list[tuple[str, int]] = []
         for ent, row in grid.rows.items():
-            if exists(row[0]) and event_steps(row, "destroyed") and not event_steps(row, "created"):
-                out.add((pid, ent))
-    return out
-
-
-def _output_set(grids: dict[str, StateGrid]) -> set:
-    out = set()
-    for pid, grid in grids.items():
-        for ent, row in grid.rows.items():
-            if event_steps(row, "created") and exists(row[-1]):
-                out.add((pid, ent))
-    return out
-
-
-def _conversion_set(grids: dict[str, StateGrid]) -> set:
-    # A destroy and a create at the same step whose location evidence
-    # agrees (including both unknown) reads as one entity becoming another.
-    out = set()
-    for pid, grid in grids.items():
-        for old_ent, old_row in grid.rows.items():
-            for t in event_steps(old_row, "destroyed"):
-                for new_ent, new_row in grid.rows.items():
-                    if new_ent == old_ent:
-                        continue
-                    if t in event_steps(new_row, "created") and old_row[t - 1] == new_row[t]:
-                        out.add((pid, t, old_ent, new_ent))
-    return out
-
-
-def _move_set(grids: dict[str, StateGrid]) -> set:
-    out = set()
-    for pid, grid in grids.items():
-        for ent, row in grid.rows.items():
-            for t in event_steps(row, "moved"):
-                out.add((pid, ent, t, row[t - 1], row[t]))
-    return out
+            events = _row_events(row)
+            # Inputs existed before the process, were destroyed during it
+            # and never (re)created.
+            if exists(row[0]) and events[Action.DESTROY] and not events[Action.CREATE]:
+                inputs.add((pid, ent))
+            if events[Action.CREATE] and exists(row[-1]):
+                outputs.add((pid, ent))
+            for t in events[Action.MOVE]:
+                moves.add((pid, ent, t, row[t - 1], row[t]))
+            for t in events[Action.CREATE]:
+                created_at.setdefault(t, []).append(ent)
+            destroyed.extend((ent, t) for t in events[Action.DESTROY])
+        # A destroy and a create at the same step whose location evidence
+        # agrees (including both unknown) reads as one entity becoming
+        # another.  No entity is both destroyed and created at one step.
+        for old_ent, t in destroyed:
+            for new_ent in created_at.get(t, ()):
+                if grid.rows[old_ent][t - 1] == grid.rows[new_ent][t]:
+                    conversions.add((pid, t, old_ent, new_ent))
+    return {"inputs": inputs, "outputs": outputs, "conversions": conversions, "moves": moves}
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +271,17 @@ def categorize_decisions(
     for pid in sorted(gold):
         proc = by_id[pid]
         verbs_per_step = _action_verb_counts(proc, parses.get(pid), ontology, class_map)
+        step_tokens = {step.index: [normalize(t) for t in step.tokens] for step in proc.steps}
         for ent_name in sorted(gold[pid].rows):
             row = gold[pid].rows[ent_name]
             entity = proc.entity(ent_name)
-            actions = derive_actions(row)
             for t in range(1, len(row)):
-                tag = actions[t - 1].action
+                tag = transition(row[t - 1], row[t])
                 if tag is Action.NONE:
                     continue
-                step = proc.step(t)
-                entity_mentioned = bool(find_mentions(entity, step))
+                entity_mentioned = bool(find_mentions(entity, proc.step(t)))
                 location = NONEXISTENT if tag is Action.DESTROY else row[t]
-                location_mentioned = _location_mentioned(location, step)
+                location_mentioned = _location_mentioned(location, step_tokens[t])
                 if tag in (Action.MOVE, Action.CREATE):
                     if entity_mentioned and location_mentioned:
                         name = "local"
@@ -314,10 +298,9 @@ def categorize_decisions(
     return out
 
 
-def _location_mentioned(location: str, step) -> bool:
+def _location_mentioned(location: str, tokens: list[str]) -> bool:
     if location in (NONEXISTENT, UNKNOWN):
         return False
-    tokens = [normalize(t) for t in step.tokens]
     loc_tokens = location.split(" ")
     n = len(loc_tokens)
     return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
@@ -391,8 +374,8 @@ def eval_decision_level(
     for (pid, ent, t), category in sorted(categories.items()):
         gold_row = gold[pid].rows[ent]
         pred_row = pred[pid].rows[ent]
-        gold_action = derive_actions(gold_row)[t - 1].action
-        pred_action = derive_actions(pred_row)[t - 1].action
+        gold_action = transition(gold_row[t - 1], gold_row[t])
+        pred_action = transition(pred_row[t - 1], pred_row[t])
         action_ok = pred_action is gold_action
         bucket = tally[category.name]
         bucket["a"] += 1
@@ -479,25 +462,3 @@ class MetricReport:
 def _fmt(value: float | None) -> str:
     return f"{value:8.2f}" if value is not None else f"{'-':>8}"
 
-
-def export_official_format(
-    pred: dict[str, StateGrid], gold: dict[str, StateGrid], out_dir
-) -> tuple[str, str]:
-    """Write both grid sets as six-column action TSVs for differential
-    checking against external evaluators that read this layout."""
-    from pathlib import Path
-
-    from .reasoning import grid_to_action_rows
-    from .corpus import write_action_tsv
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for name, grids in (("predictions.tsv", pred), ("answers.tsv", gold)):
-        rows = []
-        for pid in sorted(grids):
-            rows.extend(grid_to_action_rows(grids[pid], sorted(grids[pid].rows)))
-        path = out_dir / name
-        write_action_tsv(path, rows)
-        paths.append(str(path))
-    return paths[0], paths[1]

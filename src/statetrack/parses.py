@@ -69,14 +69,6 @@ class LogicalFormGraph:
     def out_edges(self, node_id: str) -> list[LfEdge]:
         return [e for e in self.edges if e.src == node_id]
 
-    def noun_phrases(self) -> list[tuple[tuple[int, int], str]]:
-        """(span, text) for every non-predicate node carrying surface text."""
-        out = []
-        for n in self.nodes:
-            if not n.is_predicate and n.word and n.span is not None:
-                out.append((n.span, n.word))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "sentence_index": self.sentence_index,
@@ -169,13 +161,6 @@ class SrlDoc:
     sentence_index: int
     frames: tuple[SrlFrame, ...]
 
-    def noun_phrases(self) -> list[tuple[tuple[int, int], str]]:
-        out = []
-        for f in self.frames:
-            for a in f.args:
-                out.append((a.span, a.text))
-        return out
-
     def to_dict(self) -> dict:
         return {
             "sentence_index": self.sentence_index,
@@ -249,21 +234,8 @@ class Ontology:
 
     @classmethod
     def from_file(cls, path) -> "Ontology":
-        parents = {}
-        path = Path(path)
-        if not path.exists():
-            raise InputFileError(f"ontology file not found: {path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected 'child<TAB>parent'")
-            child, parent = (p.strip().upper() for p in parts)
-            if child in parents:
-                raise SchemaError(f"{path}:{lineno}: duplicate child {child!r}")
-            parents[child] = parent
-        return cls(parents)
+        pairs = _read_pairs_tsv(path, "ontology file", ("child", "parent"))
+        return cls({child: parent for _, child, parent in pairs})
 
     def ancestors(self, onto_type: str):
         """Yield the type, then each ancestor walking up; error on a cycle."""
@@ -286,18 +258,9 @@ class ActionClassMap:
     @classmethod
     def from_file(cls, path) -> "ActionClassMap":
         entries: dict[str, ActionClass] = {}
-        path = Path(path)
-        if not path.exists():
-            raise InputFileError(f"action-class map not found: {path}")
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SchemaError(f"{path}:{lineno}: expected 'type<TAB>class'")
-            onto_type, cls_name = (p.strip().upper() for p in parts)
-            if onto_type in entries:
-                raise SchemaError(f"{path}:{lineno}: duplicate type {onto_type!r}")
+        for lineno, onto_type, cls_name in _read_pairs_tsv(
+            path, "action-class map", ("type", "class")
+        ):
             if cls_name not in ("CREATE", "MOVE", "DESTROY", "CHANGE"):
                 raise SchemaError(f"{path}:{lineno}: unknown class {cls_name!r}")
             entries[onto_type] = ActionClass(cls_name)
@@ -319,6 +282,29 @@ def ontology_class(onto_type: str, ontology: Ontology, class_map: ActionClassMap
 # ---------------------------------------------------------------------------
 # Default configuration files (shipped as editable data, overridable via the
 # STATETRACK_CONFIG_DIR environment variable)
+
+def _read_pairs_tsv(path, what: str, columns: tuple[str, str]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) for every two-column line of a config TSV,
+    upper-cased; blank and "#" lines are skipped and a repeated key is
+    rejected rather than silently overriding the earlier line."""
+    path = Path(path)
+    if not path.exists():
+        raise InputFileError(f"{what} not found: {path}")
+    out = []
+    seen: set[str] = set()
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise SchemaError(f"{path}:{lineno}: expected '{columns[0]}<TAB>{columns[1]}'")
+        key, value = (p.strip().upper() for p in parts)
+        if key in seen:
+            raise SchemaError(f"{path}:{lineno}: duplicate {columns[0]} {key!r}")
+        seen.add(key)
+        out.append((lineno, key, value))
+    return out
+
 
 def _config_path(name: str, override) -> Path:
     if override is not None:

@@ -132,6 +132,37 @@ class TestEvaluate:
         assert report["sentence"]["counts"] == hand_sheet["sentence"]["counts"]
         assert report["decision"]["ambiguous_support"] == 3
 
+    def test_seeded_fixture_matches_golden_report(self, data_dir, tmp_path):
+        report_path = tmp_path / "report.json"
+        code = main([
+            "evaluate",
+            "--pred", str(data_dir / "pred_seeded.tsv"),
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(data_dir / "coref_small.json"),
+            "--parses", str(data_dir / "parses"),
+            "--tier", "all",
+            "--output", str(report_path),
+        ])
+        assert code == 0
+        golden = (data_dir / "golden" / "report_seeded.json").read_bytes()
+        assert report_path.read_bytes() == golden
+
+    def test_non_integer_step_is_exit_4(self, data_dir, tmp_path, capsys):
+        lines = (data_dir / "pred_seeded.tsv").read_text().splitlines()
+        cols = lines[1].split("\t")
+        cols[1] = "x"
+        lines[1] = "\t".join(cols)
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("\n".join(lines) + "\n")
+        code = main([
+            "evaluate",
+            "--pred", str(pred),
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--tier", "sentence",
+        ])
+        assert code == 4
+        assert f"{pred}:2: expected an integer, got 'x'" in capsys.readouterr().err
+
     def test_decision_tier_requires_parses(self, data_dir, tmp_path):
         pred = tmp_path / "pred.tsv"
         assert main(_predict_args(data_dir, pred)) == 0

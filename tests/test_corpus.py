@@ -5,23 +5,19 @@ import pytest
 
 from statetrack.corpus import (
     Action,
-    CrfTag,
     Entity,
     Step,
     StepAction,
     derive_actions,
-    derive_tags,
     find_mentions,
     load_coref,
     load_procedures,
-    location_candidates,
     make_entity,
     normalize,
     replay_actions,
     tokenize,
 )
 from statetrack.errors import SchemaError
-from statetrack.parses import load_trips
 
 
 def _write_corpus(tmp_path, obj):
@@ -92,6 +88,12 @@ class TestLoading:
         with pytest.raises(SchemaError, match="prior after-location"):
             load_procedures(tmp_path, "propara-tsv")
 
+    def test_propara_tsv_non_integer_sentence_index(self, tmp_path):
+        (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\tx\tAgain .\n")
+        (tmp_path / "grids.tsv").write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
+        with pytest.raises(SchemaError, match=r"paragraphs\.tsv:2: expected an integer, got 'x'"):
+            load_procedures(tmp_path, "propara-tsv")
+
 
 class TestDeriveActions:
     def test_create_then_destroy(self):
@@ -130,14 +132,6 @@ class TestDeriveActions:
                     assert row[t - 1] == "-"
                 if act.action is Action.DESTROY:
                     assert row[t - 1] != "-"
-
-    def test_tags(self):
-        assert derive_tags(["-", "ocean", "ocean", "-"]) == [
-            CrfTag.C,
-            CrfTag.E,
-            CrfTag.D,
-        ]
-        assert derive_tags(["-", "-", "x"]) == [CrfTag.O_C, CrfTag.C]
 
 
 class TestNormalize:
@@ -179,64 +173,6 @@ class TestMentions:
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
                 assert a[1] <= b[0] or b[1] <= a[0]
-
-
-class TestLocationCandidates:
-    def test_extraction_order_and_dedup(self, tmp_path):
-        parse = [
-            {
-                "sentence_index": 1,
-                "root": "V1",
-                "nodes": [
-                    {"id": "V1", "indicator": "F", "type": "MOVE", "word": "move", "span": [0, 1]},
-                    {"id": "N1", "indicator": "THE", "type": "BOOK", "word": "the book", "span": [1, 3]},
-                    {"id": "N2", "indicator": "THE", "type": "LIB", "word": "the library", "span": [4, 6]},
-                ],
-                "edges": [],
-            },
-            {
-                "sentence_index": 2,
-                "root": "N3",
-                "nodes": [
-                    {"id": "N3", "indicator": "THE", "type": "BOOK", "word": "the book", "span": [0, 2]}
-                ],
-                "edges": [],
-            },
-        ]
-        path = tmp_path / "p.trips.json"
-        path.write_text(json.dumps(parse))
-        graphs = load_trips(path)
-        corpus = {
-            "id": "c1",
-            "steps": [
-                {"index": 1, "text": "Move the book to the library ."},
-                {"index": 2, "text": "The book sits ."},
-            ],
-            "entities": [{"name": "book"}],
-            "gold_grid": {"book": ["?", "library", "library"]},
-        }
-        cpath = tmp_path / "c.json"
-        cpath.write_text(json.dumps(corpus))
-        proc, _ = load_procedures(cpath)[0]
-        assert location_candidates(proc, graphs) == ["book", "library"]
-
-    def test_missing_parse_named(self, tmp_path):
-        cpath = tmp_path / "c.json"
-        cpath.write_text(json.dumps(TWO_STEP))
-        proc, _ = load_procedures(cpath)[0]
-        with pytest.raises(SchemaError, match=r"step\(s\) \[1, 2\]"):
-            location_candidates(proc, [])
-
-    def test_empty_nouns(self, tmp_path):
-        cpath = tmp_path / "c.json"
-        cpath.write_text(json.dumps(TWO_STEP))
-        proc, _ = load_procedures(cpath)[0]
-        graphs = []
-        for i in (1, 2):
-            ppath = tmp_path / f"{i}.json"
-            ppath.write_text(json.dumps([{"sentence_index": i, "root": None, "nodes": [], "edges": []}]))
-            graphs.extend(load_trips(ppath))
-        assert location_candidates(proc, graphs) == []
 
 
 class TestCoref:

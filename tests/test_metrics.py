@@ -1,17 +1,42 @@
 import copy
+import random
+from collections import Counter
 
 import pytest
 
-from statetrack.corpus import StateGrid, grids_from_action_tsv
+from statetrack.corpus import (
+    NONEXISTENT,
+    UNKNOWN,
+    Action,
+    Entity,
+    Procedure,
+    StateGrid,
+    Step,
+    derive_actions,
+    exists,
+    find_mentions,
+    grids_from_action_tsv,
+    normalize,
+)
 from statetrack.errors import SchemaError
 from statetrack.metrics import (
+    CATEGORY_NAMES,
+    EVENT_KINDS,
+    CategoryScore,
+    DecisionCategory,
+    DecisionScores,
+    DocumentScores,
     MetricReport,
+    SentenceScores,
+    _action_verb_counts,
+    _event_locations,
+    _prf,
     categorize_decisions,
     eval_decision_level,
     eval_document_level,
     eval_sentence_level,
 )
-from statetrack.parses import default_class_map, default_ontology
+from statetrack.parses import LfNode, LogicalFormGraph, default_class_map, default_ontology
 
 
 def _grids(spec):
@@ -88,15 +113,6 @@ class TestDocumentLevel:
         renamed = eval_document_level(renamed_pred, renamed_gold)
         assert renamed.to_dict() == base.to_dict()
 
-    def test_official_format_export(self, seeded_pred, small_corpus, tmp_path):
-        from statetrack.corpus import grids_from_action_tsv
-        from statetrack.metrics import export_official_format
-
-        _, gold = small_corpus
-        pred_path, gold_path = export_official_format(seeded_pred, gold, tmp_path)
-        assert grids_from_action_tsv(pred_path)["p1"].rows == seeded_pred["p1"].rows
-        assert grids_from_action_tsv(gold_path)["p2"].rows == gold["p2"].rows
-
     def test_seeded_fixture_matches_hand_sheet(self, seeded_pred, small_corpus, hand_sheet):
         _, gold = small_corpus
         scores = eval_document_level(seeded_pred, gold)
@@ -153,16 +169,12 @@ class TestDecisionLevel:
         supports = {
             name: cat.action_support for name, cat in scores.categories.items()
         }
-        from collections import Counter
-
         counted = Counter(c.name for c in categories.values())
         assert supports == {name: counted.get(name, 0) for name in supports}
 
     def test_right_action_wrong_location_split(self):
         gold = _grids({"p": {"e": ["-", "x", "y"]}})
         pred = _grids({"p": {"e": ["-", "x", "z"]}})
-        from statetrack.metrics import DecisionCategory
-
         categories = {
             ("p", "e", 1): DecisionCategory("local", False),
             ("p", "e", 2): DecisionCategory("local", False),
@@ -210,3 +222,266 @@ class TestReport:
         assert "global_loc_and_ent" in table
         data = report.to_dict()
         assert data["decision"]["categories"]["global_ent"]["location_acc"] is None
+
+
+# ---------------------------------------------------------------------------
+# Reference: the tiers as they were written before they shared
+# corpus.transition, with per-kind scans, per-criterion set extractors, an
+# entity x entity conversion loop and a per-cell derive_actions.
+
+def _ref_event_steps(row, kind):
+    steps = []
+    for t in range(1, len(row)):
+        before, after = row[t - 1], row[t]
+        if kind == "created" and not exists(before) and exists(after):
+            steps.append(t)
+        elif kind == "destroyed" and exists(before) and not exists(after):
+            steps.append(t)
+        elif kind == "moved" and exists(before) and exists(after) and before != after:
+            steps.append(t)
+    return steps
+
+
+def _ref_sentence(pred, gold):
+    credits = {"cat1": 0, "cat2": 0, "cat3": 0}
+    totals = {"cat1": 0, "cat2": 0, "cat3": 0}
+    for pid in sorted(gold):
+        for ent in sorted(gold[pid].rows):
+            gold_row = gold[pid].rows[ent]
+            pred_row = pred[pid].rows[ent]
+            for kind in EVENT_KINDS:
+                gold_steps = _ref_event_steps(gold_row, kind)
+                pred_steps = _ref_event_steps(pred_row, kind)
+                totals["cat1"] += 1
+                credits["cat1"] += int(bool(gold_steps) == bool(pred_steps))
+                if not gold_steps:
+                    continue
+                totals["cat2"] += 1
+                credits["cat2"] += int(pred_steps == gold_steps)
+                totals["cat3"] += 1
+                credits["cat3"] += int(
+                    _event_locations(pred_row, gold_steps, kind)
+                    == _event_locations(gold_row, gold_steps, kind)
+                )
+    scores = {
+        cat: (100.0 * credits[cat] / totals[cat]) if totals[cat] else 100.0
+        for cat in ("cat1", "cat2", "cat3")
+    }
+    all_credits = sum(credits.values())
+    all_totals = sum(totals.values())
+    return SentenceScores(
+        cat1=scores["cat1"],
+        cat2=scores["cat2"],
+        cat3=scores["cat3"],
+        macro_avg=(scores["cat1"] + scores["cat2"] + scores["cat3"]) / 3,
+        micro_avg=(100.0 * all_credits / all_totals) if all_totals else 100.0,
+        counts={cat: (credits[cat], totals[cat]) for cat in ("cat1", "cat2", "cat3")},
+    )
+
+
+def _ref_input_set(grids):
+    out = set()
+    for pid, grid in grids.items():
+        for ent, row in grid.rows.items():
+            if (
+                exists(row[0])
+                and _ref_event_steps(row, "destroyed")
+                and not _ref_event_steps(row, "created")
+            ):
+                out.add((pid, ent))
+    return out
+
+
+def _ref_output_set(grids):
+    out = set()
+    for pid, grid in grids.items():
+        for ent, row in grid.rows.items():
+            if _ref_event_steps(row, "created") and exists(row[-1]):
+                out.add((pid, ent))
+    return out
+
+
+def _ref_conversion_set(grids):
+    out = set()
+    for pid, grid in grids.items():
+        for old_ent, old_row in grid.rows.items():
+            for t in _ref_event_steps(old_row, "destroyed"):
+                for new_ent, new_row in grid.rows.items():
+                    if new_ent == old_ent:
+                        continue
+                    if t in _ref_event_steps(new_row, "created") and old_row[t - 1] == new_row[t]:
+                        out.add((pid, t, old_ent, new_ent))
+    return out
+
+
+def _ref_move_set(grids):
+    out = set()
+    for pid, grid in grids.items():
+        for ent, row in grid.rows.items():
+            for t in _ref_event_steps(row, "moved"):
+                out.add((pid, ent, t, row[t - 1], row[t]))
+    return out
+
+
+def _ref_document(pred, gold):
+    criteria = {}
+    for name, extract in (
+        ("inputs", _ref_input_set),
+        ("outputs", _ref_output_set),
+        ("conversions", _ref_conversion_set),
+        ("moves", _ref_move_set),
+    ):
+        criteria[name] = _prf(extract(pred), extract(gold))
+    k = len(criteria)
+    return DocumentScores(
+        criteria=criteria,
+        avg_precision=sum(c.precision for c in criteria.values()) / k,
+        avg_recall=sum(c.recall for c in criteria.values()) / k,
+        avg_f1=sum(c.f1 for c in criteria.values()) / k,
+    )
+
+
+def _ref_location_mentioned(location, step):
+    if location in (NONEXISTENT, UNKNOWN):
+        return False
+    tokens = [normalize(t) for t in step.tokens]
+    loc_tokens = location.split(" ")
+    n = len(loc_tokens)
+    return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
+
+
+def _ref_categorize(gold, procedures, parses, ontology, class_map):
+    by_id = {p.id: p for p in procedures}
+    out = {}
+    for pid in sorted(gold):
+        proc = by_id[pid]
+        verbs_per_step = _action_verb_counts(proc, parses.get(pid), ontology, class_map)
+        for ent_name in sorted(gold[pid].rows):
+            row = gold[pid].rows[ent_name]
+            entity = proc.entity(ent_name)
+            actions = derive_actions(row)
+            for t in range(1, len(row)):
+                tag = actions[t - 1].action
+                if tag is Action.NONE:
+                    continue
+                step = proc.step(t)
+                entity_mentioned = bool(find_mentions(entity, step))
+                location = NONEXISTENT if tag is Action.DESTROY else row[t]
+                location_mentioned = _ref_location_mentioned(location, step)
+                if tag in (Action.MOVE, Action.CREATE):
+                    if entity_mentioned and location_mentioned:
+                        name = "local"
+                    elif entity_mentioned:
+                        name = "global_loc"
+                    elif location_mentioned:
+                        name = "global_ent"
+                    else:
+                        name = "global_loc_and_ent"
+                else:
+                    name = "global_ent" if not entity_mentioned else "uncategorized"
+                ambiguous = entity_mentioned and verbs_per_step[t] >= 2
+                out[(pid, ent_name, t)] = DecisionCategory(name=name, ambiguous=ambiguous)
+    return out
+
+
+def _ref_decision(pred, gold, categories):
+    tally = {
+        name: {"a": 0, "a_ok": 0, "l": 0, "l_ok": 0, "b_ok": 0} for name in CATEGORY_NAMES
+    }
+    amb_total = amb_ok = 0
+    for (pid, ent, t), category in sorted(categories.items()):
+        gold_row = gold[pid].rows[ent]
+        pred_row = pred[pid].rows[ent]
+        gold_action = derive_actions(gold_row)[t - 1].action
+        pred_action = derive_actions(pred_row)[t - 1].action
+        action_ok = pred_action is gold_action
+        bucket = tally[category.name]
+        bucket["a"] += 1
+        bucket["a_ok"] += int(action_ok)
+        if gold_action is not Action.DESTROY:
+            location_ok = pred_row[t] == gold_row[t]
+            bucket["l"] += 1
+            bucket["l_ok"] += int(location_ok)
+            bucket["b_ok"] += int(action_ok and location_ok)
+        if category.ambiguous:
+            amb_total += 1
+            amb_ok += int(action_ok)
+    scores = {}
+    for name in CATEGORY_NAMES:
+        bucket = tally[name]
+        scores[name] = CategoryScore(
+            action_acc=(100.0 * bucket["a_ok"] / bucket["a"]) if bucket["a"] else None,
+            location_acc=(100.0 * bucket["l_ok"] / bucket["l"]) if bucket["l"] else None,
+            both_acc=(100.0 * bucket["b_ok"] / bucket["l"]) if bucket["l"] else None,
+            action_support=bucket["a"],
+            location_support=bucket["l"],
+        )
+    return DecisionScores(
+        categories=scores,
+        ambiguous_action_acc=(100.0 * amb_ok / amb_total) if amb_total else None,
+        ambiguous_support=amb_total,
+    )
+
+
+_CELLS = ["-", "-", "?", "pond", "lake", "big rock"]
+_WORDS = ["The", "a", "ice", "water", "vapor", "pond", "Lake", "big", "rock", "."]
+_VERB_TYPES = ["MOVE", "FORM", "CONSUME", "COOLING", "SLEEP"]
+
+
+def _random_case(rng):
+    """Random procedures with gold and predicted grids, and their parses."""
+    procedures, gold, pred, parses = [], {}, {}, {}
+    for p in range(rng.randint(1, 2)):
+        pid = f"r{p}"
+        m = rng.randint(1, 8)
+        steps = tuple(
+            Step(t, "", tuple(rng.choice(_WORDS) for _ in range(rng.randint(0, 7))))
+            for t in range(1, m + 1)
+        )
+        names = rng.sample(["ice", "water", "vapor", "big rock", "pond"], rng.randint(1, 5))
+        entities = tuple(Entity(name, (name,)) for name in names)
+        procedures.append(Procedure(pid, steps, entities))
+        gold[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
+        pred[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
+        parses[pid] = [
+            LogicalFormGraph(
+                t,
+                tuple(
+                    LfNode(f"v{i}", "F", rng.choice(_VERB_TYPES), "verb", None)
+                    for i in range(rng.randint(0, 3))
+                ),
+                (),
+                None,
+            )
+            for t in range(1, m + 1)
+        ]
+    return procedures, gold, pred, parses
+
+
+def test_tiers_match_the_pre_transition_reference():
+    ontology, class_map = default_ontology(), default_class_map()
+    rng = random.Random(2024)
+    seen = Counter()
+    for _ in range(200):
+        procedures, gold, pred, parses = _random_case(rng)
+        assert eval_sentence_level(pred, gold).to_dict() == _ref_sentence(pred, gold).to_dict()
+        assert eval_document_level(pred, gold).to_dict() == _ref_document(pred, gold).to_dict()
+        categories = categorize_decisions(gold, procedures, parses, ontology, class_map)
+        assert categories == _ref_categorize(gold, procedures, parses, ontology, class_map)
+        assert (
+            eval_decision_level(pred, gold, categories).to_dict()
+            == _ref_decision(pred, gold, categories).to_dict()
+        )
+        seen["conversions"] += len(_ref_conversion_set(gold))
+        seen["ambiguous"] += sum(c.ambiguous for c in categories.values())
+        seen.update(c.name for c in categories.values())
+        for grid in gold.values():
+            for row in grid.rows.values():
+                seen["recreated"] += len(_ref_event_steps(row, "created")) > 1
+                seen["unknown_moves"] += any(
+                    row[t - 1] != row[t] and UNKNOWN in (row[t - 1], row[t])
+                    for t in _ref_event_steps(row, "moved")
+                )
+    # The random cases reach every branch the rewrite touched.
+    for key in ("conversions", "recreated", "unknown_moves", "ambiguous", *CATEGORY_NAMES):
+        assert seen[key] > 0, key

