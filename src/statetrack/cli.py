@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_mod
@@ -186,6 +185,8 @@ def cmd_predict(args) -> int:
         for proc in procedures
     ]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             per_proc = list(pool.map(_predict_one, payloads))
     else:
@@ -227,7 +228,7 @@ def cmd_abstract(args) -> int:
 
 def cmd_build_graph(args) -> int:
     procedures, _ = _load_corpus(args)
-    out = []
+    records = []  # rendered as soon as each graph is built; written once at the end
     for proc in procedures:
         if args.parser == "trips":
             graphs = load_trips(_parse_file(args.parses, proc.id, "trips"))
@@ -242,13 +243,12 @@ def cmd_build_graph(args) -> int:
                 if not matches:
                     continue
                 extended = semgraph.extend_qa_graph(graph, matches[0], proc)
-                out.append(
-                    {"procedure": proc.id, "entity": matches[0].canonical_name,
-                     "graph": extended.to_dict()}
+                records.append(
+                    semgraph.render_graph_record(proc.id, matches[0].canonical_name, extended)
                 )
         else:
-            out.append({"procedure": proc.id, "entity": None, "graph": graph.to_dict()})
-    _write_json(args.output, out)
+            records.append(semgraph.render_graph_record(proc.id, None, graph))
+    semgraph.write_graph_records(args.output, records)
     return EXIT_OK
 
 

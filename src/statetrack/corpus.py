@@ -49,6 +49,44 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text)
 
 
+# Checked accessors for loaded JSON and TSV fields: each raises a
+# SchemaError naming ``where`` (file, and line or record) instead of letting
+# a KeyError, TypeError or ValueError escape as a traceback.
+
+def require_key(obj, key: str, where: str):
+    """``obj[key]`` of a JSON object."""
+    if type(obj) is not dict:
+        raise SchemaError(f"{where}: expected an object, got {type(obj).__name__}")
+    try:
+        return obj[key]
+    except KeyError:
+        raise SchemaError(f"{where}: missing key {key!r}") from None
+
+
+def as_list(value, where: str) -> list:
+    """A JSON array."""
+    if type(value) is not list:
+        raise SchemaError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def as_int(value, where: str) -> int:
+    """``int(value)``: a number or a numeric string."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{where}: expected an integer, got {value!r}") from None
+
+
+def as_span(value, where: str) -> tuple[int, int]:
+    """A token span given as a list of exactly two integers."""
+    if type(value) is list and len(value) == 2:
+        start, end = value
+        if type(start) is int and type(end) is int:  # not bool, not float
+            return (start, end)
+    raise SchemaError(f"{where}: span must be two integers, got {value!r}")
+
+
 class Action(str, Enum):
     NONE = "NONE"
     CREATE = "CREATE"
@@ -192,28 +230,48 @@ def replay_actions(initial: str, actions: list[StepAction]) -> list[str]:
 # ---------------------------------------------------------------------------
 # Mention detection
 
-def find_mentions(entity: Entity, step: Step) -> list[tuple[int, int]]:
-    """Token spans where the entity is mentioned in a step.
+def find_all_mentions(entities, step: Step) -> list[list[tuple[int, int]]]:
+    """Token spans where each entity is mentioned in a step, one sorted
+    list per entity in the given order.
 
-    Aliases match on token boundaries, case-insensitively, longest alias
-    first; registered coreference mentions for the step are added.  The
-    result is sorted and never contains overlapping spans.
+    Aliases match on token boundaries, case-insensitively; registered
+    coreference mentions for the step are added.  Overlapping candidates
+    are resolved leftmost first, longest first at one start, so no list
+    contains overlapping spans.
+
+    The step is lower-cased and indexed (token -> positions) once, and an
+    alias is compared only where its first token occurs: O(tokens) for the
+    step plus O(alias length) per occurrence of an alias's first token.
     """
     tokens = [t.lower() for t in step.tokens]
-    spans: list[tuple[int, int]] = []
-    for alias in sorted(entity.aliases, key=len, reverse=True):
-        alias_toks = alias.split(" ")
-        n = len(alias_toks)
-        for start in range(0, len(tokens) - n + 1):
-            if tokens[start : start + n] == alias_toks:
-                spans.append((start, start + n))
-    spans.extend(entity.coref_spans(step.index))
-    spans.sort(key=lambda s: (s[0], -(s[1] - s[0])))
-    kept: list[tuple[int, int]] = []
-    for span in spans:
-        if not any(spans_overlap(span, k) for k in kept):
-            kept.append(span)
-    return sorted(kept)
+    positions: dict[str, list[int]] = {}
+    for k, token in enumerate(tokens):
+        positions.setdefault(token, []).append(k)
+    out = []
+    for entity in entities:
+        spans: list[tuple[int, int]] = []
+        for alias in entity.aliases:
+            alias_toks = alias.split(" ")
+            n = len(alias_toks)
+            for start in positions.get(alias_toks[0], ()):
+                if tokens[start : start + n] == alias_toks:
+                    spans.append((start, start + n))
+        spans.extend(entity.coref_spans(step.index))
+        if len(spans) > 1:
+            spans.sort(key=lambda s: (s[0], -(s[1] - s[0])))
+            kept: list[tuple[int, int]] = []
+            for span in spans:
+                if not any(spans_overlap(span, k) for k in kept):
+                    kept.append(span)
+            spans = sorted(kept)
+        out.append(spans)
+    return out
+
+
+def find_mentions(entity: Entity, step: Step) -> list[tuple[int, int]]:
+    """Token spans where one entity is mentioned in a step: the
+    ``find_all_mentions`` of that entity alone."""
+    return find_all_mentions((entity,), step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +316,42 @@ def _parse_procedure_obj(obj: dict, source: str) -> tuple[Procedure, StateGrid]:
         raw_grid = obj["gold_grid"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"{source}: procedure object missing key {exc}") from exc
+    as_list(raw_steps, f"{source}: procedure {pid}: steps")
+    as_list(raw_entities, f"{source}: procedure {pid}: entities")
+    if not isinstance(raw_grid, dict):
+        raise SchemaError(f"{source}: procedure {pid}: gold_grid must be an object")
     if not raw_steps:
         raise SchemaError(f"{source}: procedure {pid}: needs at least one step")
     steps = []
     for i, s in enumerate(raw_steps, start=1):
-        idx = int(s["index"])
+        where = f"{source}: procedure {pid}: step {i}"
+        idx = as_int(require_key(s, "index", where), where)
         if idx != i:
             raise SchemaError(
                 f"{source}: procedure {pid}: step indices must be contiguous from 1,"
                 f" got {idx} at position {i}"
             )
-        tokens = tuple(s["tokens"]) if "tokens" in s else tuple(tokenize(s["text"]))
-        steps.append(Step(index=idx, text=s["text"], tokens=tokens))
+        text = require_key(s, "text", where)
+        if not isinstance(text, str):
+            raise SchemaError(f"{where}: text must be a string")
+        tokens = s["tokens"] if "tokens" in s else tokenize(text)
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise SchemaError(f"{where}: tokens must be a list of strings")
+        steps.append(Step(index=idx, text=text, tokens=tuple(tokens)))
     m = len(steps)
     entities = []
     seen_names = set()
     for e in raw_entities:
-        raw_name = e["name"] if isinstance(e, dict) else e
+        where = f"{source}: procedure {pid}: entity"
+        raw_name = require_key(e, "name", where) if isinstance(e, dict) else e
+        if not isinstance(raw_name, str):
+            raise SchemaError(f"{where}: name must be a string, got {raw_name!r}")
         ent = make_entity(raw_name)
         if isinstance(e, dict) and e.get("aliases"):
-            extra = tuple(normalize(a) for a in e["aliases"])
+            aliases = as_list(e["aliases"], where)
+            if not all(isinstance(a, str) for a in aliases):
+                raise SchemaError(f"{where}: aliases must be strings, got {aliases!r}")
+            extra = tuple(normalize(a) for a in aliases)
             ent = Entity(ent.canonical_name, tuple(dict.fromkeys(ent.aliases + extra)))
         if ent.canonical_name in seen_names:
             raise SchemaError(f"{source}: procedure {pid}: duplicate entity {ent.canonical_name!r}")
@@ -288,6 +362,10 @@ def _parse_procedure_obj(obj: dict, source: str) -> tuple[Procedure, StateGrid]:
         key = make_entity(raw_name).canonical_name
         if key not in seen_names:
             raise SchemaError(f"{source}: procedure {pid}: grid row for unknown entity {raw_name!r}")
+        if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
+            raise SchemaError(
+                f"{source}: procedure {pid}: entity {key!r}: cells must be a list of strings"
+            )
         if len(cells) != m + 1:
             raise SchemaError(
                 f"{source}: procedure {pid}: entity {key!r}: expected {m + 1} cells, got {len(cells)}"
@@ -318,7 +396,7 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
         if len(parts) != 3:
             raise SchemaError(f"{para_file}:{lineno}: expected 3 columns, got {len(parts)}")
         pid, idx, text = parts
-        sentences.setdefault(pid, {})[_int_column(idx, f"{para_file}:{lineno}")] = text
+        sentences.setdefault(pid, {})[as_int(idx, f"{para_file}:{lineno}")] = text
 
     raw = read_action_tsv(grid_file)
     out = []
@@ -374,14 +452,15 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
     by_id = {p.id: p for p in procedures}
     mentions: dict[str, dict[str, list]] = {}
     for obj in data:
-        pid = str(obj["procedure_id"])
+        pid = str(require_key(obj, "procedure_id", str(path)))
         if pid not in by_id:
             raise SchemaError(f"{path}: coref for unknown procedure {pid!r}")
-        for men in obj.get("mentions", []):
-            ent_name = normalize(men["entity"])
-            step = int(men["step"])
-            span = tuple(men["span"])
-            if len(span) != 2 or span[0] >= span[1]:
+        for men in as_list(obj.get("mentions", []), str(path)):
+            where = f"{path}: procedure {pid}: mention"
+            ent_name = normalize(str(require_key(men, "entity", where)))
+            step = as_int(require_key(men, "step", where), where)
+            span = as_span(require_key(men, "span", where), where)
+            if span[0] >= span[1]:
                 raise SchemaError(f"{path}: bad span {span} for {ent_name!r}")
             mentions.setdefault(pid, {}).setdefault(ent_name, []).append((step, span))
     out = []
@@ -422,19 +501,12 @@ def read_action_tsv(path) -> dict[str, dict[str, dict[int, tuple[str, str]]]]:
         pid, step, entity, action, before, after = parts
         if action not in Action.__members__:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
-        t = _int_column(step, f"{path}:{lineno}")
+        t = as_int(step, f"{path}:{lineno}")
         per_step = out.setdefault(pid, {}).setdefault(entity, {})
         if t in per_step:
             raise SchemaError(f"{path}:{lineno}: duplicate row for ({pid}, {entity}, step {t})")
         per_step[t] = (normalize(before), normalize(after))
     return out
-
-
-def _int_column(text: str, where: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SchemaError(f"{where}: expected an integer, got {text!r}") from None
 
 
 def grids_from_action_tsv(path) -> dict[str, StateGrid]:

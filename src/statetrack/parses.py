@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import spans_overlap
+from .corpus import as_int, as_list, as_span, require_key, spans_overlap
 from .errors import InputFileError, SchemaError
 
 CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
@@ -54,20 +54,28 @@ class LfEdge:
 
 @dataclass(frozen=True)
 class LogicalFormGraph:
+    """One sentence's parse.  Node ids and each node's outgoing edges are
+    indexed once, when the graph is made."""
+
     sentence_index: int
     nodes: tuple[LfNode, ...]
     edges: tuple[LfEdge, ...]
     root: str | None
+    _by_id: dict[str, LfNode] = field(init=False, repr=False, compare=False)
+    _out: dict[str, list[LfEdge]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        out: dict[str, list[LfEdge]] = {}
+        for edge in self.edges:
+            out.setdefault(edge.src, []).append(edge)
+        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
+        object.__setattr__(self, "_out", out)
 
     def node(self, node_id: str) -> LfNode:
         return self._by_id[node_id]
 
-    @property
-    def _by_id(self) -> dict[str, LfNode]:
-        return {n.id: n for n in self.nodes}
-
     def out_edges(self, node_id: str) -> list[LfEdge]:
-        return [e for e in self.edges if e.src == node_id]
+        return list(self._out.get(node_id, ()))
 
     def to_dict(self) -> dict:
         return {
@@ -101,36 +109,39 @@ def load_trips(path) -> list[LogicalFormGraph]:
 
 
 def _parse_lf_obj(obj: dict, source: str) -> LogicalFormGraph:
-    idx = int(obj["sentence_index"])
+    idx = as_int(require_key(obj, "sentence_index", source), source)
+    where = f"{source}: sentence {idx}"
     nodes = []
     ids = set()
-    for n in obj.get("nodes", []):
-        nid = str(n["id"])
+    node_where = f"{where}: node"
+    for n in as_list(obj.get("nodes", []), where):
+        nid = str(require_key(n, "id", node_where))
         if nid in ids:
-            raise SchemaError(f"{source}: sentence {idx}: duplicate node id {nid!r}")
+            raise SchemaError(f"{where}: duplicate node id {nid!r}")
         ids.add(nid)
-        span = tuple(n["span"]) if n.get("span") is not None else None
+        span = n.get("span")
         nodes.append(
             LfNode(
                 id=nid,
                 indicator=str(n.get("indicator", "")),
                 onto_type=str(n.get("type", "")).upper(),
                 word=str(n.get("word", "")),
-                span=span,
+                span=as_span(span, f"{where}: node {nid}") if span is not None else None,
             )
         )
     edges = []
-    for e in obj.get("edges", []):
-        src, dst = str(e["src"]), str(e["dst"])
+    edge_where = f"{where}: edge"
+    for e in as_list(obj.get("edges", []), where):
+        src = str(require_key(e, "src", edge_where))
+        label = str(require_key(e, "label", edge_where))
+        dst = str(require_key(e, "dst", edge_where))
         for endpoint in (src, dst):
             if endpoint not in ids:
-                raise SchemaError(
-                    f"{source}: sentence {idx}: edge references unknown node {endpoint!r}"
-                )
-        edges.append(LfEdge(src=src, label=str(e["label"]).upper(), dst=dst))
+                raise SchemaError(f"{where}: edge references unknown node {endpoint!r}")
+        edges.append(LfEdge(src=src, label=label.upper(), dst=dst))
     root = obj.get("root")
     if root is not None and str(root) not in ids:
-        raise SchemaError(f"{source}: sentence {idx}: root {root!r} is not a node")
+        raise SchemaError(f"{where}: root {root!r} is not a node")
     return LogicalFormGraph(
         sentence_index=idx,
         nodes=tuple(nodes),
@@ -183,22 +194,23 @@ def load_srl(path) -> list[SrlDoc]:
         data = [data]
     docs = []
     for obj in data:
-        idx = int(obj["sentence_index"])
+        idx = as_int(require_key(obj, "sentence_index", str(path)), str(path))
+        where = f"{path}: sentence {idx}"
+        pred_where, arg_where = f"{where}: predicate", f"{where}: argument"
         frames = []
-        for f in obj.get("frames", []):
-            pred = f["predicate"]
-            pspan = tuple(pred["span"])
+        for f in as_list(obj.get("frames", []), where):
+            pred = require_key(f, "predicate", f"{where}: frame")
+            pspan = as_span(require_key(pred, "span", pred_where), pred_where)
             args = []
-            for a in f.get("args", []):
-                aspan = tuple(a["span"])
+            for a in as_list(f.get("args", []), where):
+                aspan = as_span(require_key(a, "span", arg_where), arg_where)
                 if spans_overlap(aspan, pspan):
-                    raise SchemaError(
-                        f"{path}: sentence {idx}: argument span {aspan} overlaps predicate {pspan}"
-                    )
-                args.append(SrlArg(role=str(a["role"]).upper(), span=aspan, text=str(a["text"])))
-            frames.append(
-                SrlFrame(predicate_span=pspan, predicate_text=str(pred["text"]), args=tuple(args))
-            )
+                    raise SchemaError(f"{where}: argument span {aspan} overlaps predicate {pspan}")
+                role = str(require_key(a, "role", arg_where)).upper()
+                text = str(require_key(a, "text", arg_where))
+                args.append(SrlArg(role=role, span=aspan, text=text))
+            ptext = str(require_key(pred, "text", pred_where))
+            frames.append(SrlFrame(predicate_span=pspan, predicate_text=ptext, args=tuple(args)))
         docs.append(SrlDoc(sentence_index=idx, frames=tuple(frames)))
     _reject_duplicate_indices(docs, path)
     docs.sort(key=lambda d: d.sentence_index)

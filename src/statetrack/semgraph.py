@@ -12,22 +12,35 @@ A question-answering extension adds one question node tied to the queried
 entity's nodes and one node per step tied to that step's nodes.
 
 Cost: a graph indexes its node ids and edges, so adding a node or an edge
-is O(1).  Entity mentions are found once per (entity, step) and each
+is O(1).  Entity mentions are found once per step for all entities
+(``find_all_mentions``: the step is lower-cased and indexed once) and each
 phrase is normalized once.  Path synthesis runs one breadth-first search
 per surviving node of a sentence, O(n * (n + e)) for n nodes and e edges
-of that sentence's parse.  Cross-sentence links are emitted only from
-within a group of equal normalized text (SAME) or of one entity (COREF),
-so that step costs O(nodes * entities) plus the pairs it emits.  The
-output, whose SAME and COREF pairs grow quadratically with the repeats of
-a phrase, bounds the total.
+of that sentence's parse.  Cross-sentence linking finds a phrase node's
+entities through a per-step index from token position to entity names,
+O(span length) per node, and emits links only from within a group of
+equal normalized text (SAME) or of one entity (COREF).  The output, whose
+SAME and COREF pairs grow quadratically with the repeats of a phrase,
+bounds the total.  ``render_graph_record`` writes that output in one pass
+over the nodes and edges with fixed templates, rather than through the
+pure-Python encoder ``json.dumps`` uses whenever ``indent`` is set.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
-from .corpus import Entity, Procedure, Step, find_mentions, normalize, spans_overlap
+from .corpus import (
+    Entity,
+    Procedure,
+    Step,
+    find_all_mentions,
+    find_mentions,
+    normalize,
+    spans_overlap,
+)
 from .errors import SchemaError
 from .parses import LogicalFormGraph, SrlDoc
 
@@ -111,9 +124,76 @@ class SemanticGraph:
         }
 
 
+# ---------------------------------------------------------------------------
+# graphs.json: a list of {"procedure", "entity", "graph"} records, laid out
+# exactly as json.dumps(records, indent=2) + "\n" lays out the records'
+# ``to_dict`` form.  Strings go through the escaper json itself uses with
+# ensure_ascii, integers through int.__repr__ as json does.
+
+_ITEM_SEP = ",\n"
+
+
+def _span_json(span: tuple[int, int] | None) -> str:
+    if span is None:
+        return "null"
+    start, end = int.__repr__(span[0]), int.__repr__(span[1])
+    return f"[\n            {start},\n            {end}\n          ]"
+
+
+def _list_json(items: list[str]) -> str:
+    return f"[\n{_ITEM_SEP.join(items)}\n      ]" if items else "[]"
+
+
+def render_graph_record(procedure_id: str, entity: str | None, graph: SemanticGraph) -> str:
+    """One graphs.json record, as it appears inside the top-level list."""
+    nodes = [
+        "        {\n"
+        f'          "id": {_json_str(n.id)},\n'
+        f'          "kind": {_json_str(n.kind)},\n'
+        f'          "step": {"null" if n.step_index is None else int.__repr__(n.step_index)},\n'
+        f'          "span": {_span_json(n.span)},\n'
+        f'          "text": {_json_str(n.text)}\n'
+        "        }"
+        for n in graph.nodes
+    ]
+    edges = [
+        "        {\n"
+        f'          "src": {_json_str(e.src)},\n'
+        f'          "dst": {_json_str(e.dst)},\n'
+        f'          "type": {_json_str(e.type_label)}\n'
+        "        }"
+        for e in graph.edges
+    ]
+    return (
+        "  {\n"
+        f'    "procedure": {_json_str(procedure_id)},\n'
+        f'    "entity": {"null" if entity is None else _json_str(entity)},\n'
+        '    "graph": {\n'
+        f'      "nodes": {_list_json(nodes)},\n'
+        f'      "edges": {_list_json(edges)}\n'
+        "    }\n"
+        "  }"
+    )
+
+
+def write_graph_records(path, records: list[str]) -> None:
+    """Write rendered records as graphs.json, one write per record."""
+    with open(path, "w") as out:
+        if not records:
+            out.write("[]\n")
+            return
+        out.write("[\n")
+        for k, record in enumerate(records):
+            if k:
+                out.write(_ITEM_SEP)
+            out.write(record)
+        out.write("\n]\n")
+
+
 def _step_mentions(procedure: Procedure) -> StepMentions:
+    names = [e.canonical_name for e in procedure.entities]
     return {
-        step.index: [(e.canonical_name, find_mentions(e, step)) for e in procedure.entities]
+        step.index: list(zip(names, find_all_mentions(procedure.entities, step)))
         for step in procedure.steps
     }
 
@@ -260,16 +340,23 @@ def _link_across_sentences(graph: SemanticGraph, step_mentions: StepMentions) ->
     normalized texts are equal, else COREF when both overlap a mention of
     one entity.  Edges come out in the order of the pair's (first, second)
     positions among the phrase nodes."""
+    # step index -> token position -> names of the entities mentioned there
+    covered: dict[int, dict[int, set[str]]] = {}
+    for step_index, mentions in step_mentions.items():
+        at = covered[step_index] = {}
+        for name, spans in mentions:
+            for start, end in spans:
+                for position in range(start, end):
+                    at.setdefault(position, set()).add(name)
     phrase_nodes = [n for n in graph.nodes if n.kind in ("entity_mention", "noun_phrase")]
     by_text: dict[str, list[int]] = {}
     by_entity: dict[str, list[int]] = {}
     for k, node in enumerate(phrase_nodes):
         by_text.setdefault(normalize(node.text), []).append(k)
-        names = {
-            name
-            for name, spans in step_mentions[node.step_index]
-            if any(spans_overlap(node.span, s) for s in spans)
-        }
+        at = covered[node.step_index]
+        names = set()
+        for position in range(*node.span):
+            names.update(at.get(position, ()))
         for name in names:
             by_entity.setdefault(name, []).append(k)
 

@@ -11,6 +11,19 @@ from statetrack.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh interpreter has the module loaded after importing
+    statetrack.cli."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    probe = f"import sys, statetrack.cli; print({module!r} in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip() == "True"
+
+
 def _predict_args(data_dir, out, extra=()):
     return [
         "predict",
@@ -306,15 +319,108 @@ class TestOtherCommands:
         assert out.read_bytes() == (data_dir / "golden" / "graphs_srl.json").read_bytes()
 
     def test_cli_import_does_not_load_numpy(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        probe = "import sys, statetrack.cli; print('numpy' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert not _loaded_by_cli_import("numpy")
+
+    def test_cli_import_does_not_load_multiprocessing(self):
+        assert not _loaded_by_cli_import("multiprocessing")
 
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0
         assert "ok" in capsys.readouterr().out
+
+
+def _copy_inputs(data_dir, tmp_path):
+    """A writable copy of the predict corpus and the parse directory."""
+    corpus = tmp_path / "corpus.json"
+    corpus.write_bytes((data_dir / "corpus_predict.json").read_bytes())
+    parses = tmp_path / "parses"
+    parses.mkdir()
+    for src in (data_dir / "parses").iterdir():
+        (parses / src.name).write_bytes(src.read_bytes())
+    return corpus, parses
+
+
+def _break_corpus(edit):
+    def apply(corpus, parses):
+        procedures = json.loads(corpus.read_text())
+        edit(procedures[-1])
+        corpus.write_text(json.dumps(procedures))
+        return corpus
+    return apply
+
+
+def _break_parse(name, edit):
+    def apply(corpus, parses):
+        path = parses / name
+        sentences = json.loads(path.read_text())
+        edit(sentences[-1])
+        path.write_text(json.dumps(sentences))
+        return path
+    return apply
+
+
+class TestBuildGraphSchemaErrors:
+    """Malformed input ends in exit 4 naming the file, and no output file."""
+
+    @pytest.mark.parametrize(
+        "parser, breaker",
+        [
+            ("trips", _break_corpus(lambda p: p["steps"][0].pop("index"))),
+            ("trips", _break_corpus(lambda p: p["steps"][0].update(index="x"))),
+            ("trips", _break_corpus(lambda p: p["steps"][0].update(text=7))),
+            ("trips", _break_corpus(lambda p: p.update(entities=5))),
+            ("trips", _break_corpus(lambda p: p["gold_grid"].update(water=3))),
+            ("trips", _break_corpus(lambda p: p["entities"][0].update(aliases=[3]))),
+            ("trips", _break_parse("erosion-1.trips.json", lambda s: s.update(nodes=5))),
+            ("trips", _break_parse("erosion-1.trips.json", lambda s: s.pop("sentence_index"))),
+            ("trips", _break_parse("erosion-1.trips.json", lambda s: s["edges"][0].pop("dst"))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["nodes"][0].update(span=[3]))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["nodes"][0].update(span=[0, "1"]))),
+            ("srl", _break_parse("erosion-1.srl.json", lambda s: s.pop("sentence_index"))),
+            ("srl", _break_parse("erosion-1.srl.json",
+                                 lambda s: s["frames"][0]["args"][0].update(span=[0, 1, 2]))),
+        ],
+        ids=[
+            "step-without-index", "non-integer-step-index", "non-string-step-text",
+            "entities-not-a-list", "grid-cells-not-a-list", "alias-not-a-string",
+            "nodes-not-a-list", "parse-without-sentence-index",
+            "edge-without-dst", "span-of-one-integer", "span-with-a-string",
+            "srl-without-sentence-index", "srl-span-of-three-integers",
+        ],
+    )
+    def test_malformed_input_is_exit_4(self, data_dir, tmp_path, capsys, parser, breaker):
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        broken = breaker(corpus, parses)
+        out = tmp_path / "graphs.json"
+        code = main([
+            "build-graph",
+            "--corpus", str(corpus),
+            "--parses", str(parses),
+            "--parser", parser,
+            "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert str(broken) in err
+        assert not out.exists()
+
+    def test_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):
+        """The loader accepts the span; building the last graph rejects it,
+        after the first procedure's record has been rendered."""
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        _break_parse("erosion-1.trips.json", lambda s: s["nodes"][0].update(span=[0, 99]))(
+            corpus, parses
+        )
+        assert [p["id"] for p in json.loads(corpus.read_text())][-1] == "erosion-1"
+        out = tmp_path / "graphs.json"
+        code = main([
+            "build-graph",
+            "--corpus", str(corpus),
+            "--parses", str(parses),
+            "--output", str(out),
+        ])
+        assert code == 4
+        assert "outside sentence" in capsys.readouterr().err
+        assert not out.exists()

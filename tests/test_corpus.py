@@ -9,12 +9,14 @@ from statetrack.corpus import (
     Step,
     StepAction,
     derive_actions,
+    find_all_mentions,
     find_mentions,
     load_coref,
     load_procedures,
     make_entity,
     normalize,
     replay_actions,
+    spans_overlap,
     tokenize,
 )
 from statetrack.errors import SchemaError
@@ -173,6 +175,66 @@ class TestMentions:
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
                 assert a[1] <= b[0] or b[1] <= a[0]
+
+
+def _scan_mentions(entity, step):
+    """Reference: the per-entity scan find_mentions used before
+    find_all_mentions, which lower-cases the step for every entity and
+    tries every alias at every start position."""
+    tokens = [t.lower() for t in step.tokens]
+    spans = []
+    for alias in sorted(entity.aliases, key=len, reverse=True):
+        alias_toks = alias.split(" ")
+        n = len(alias_toks)
+        for start in range(0, len(tokens) - n + 1):
+            if tokens[start : start + n] == alias_toks:
+                spans.append((start, start + n))
+    spans.extend(entity.coref_spans(step.index))
+    spans.sort(key=lambda s: (s[0], -(s[1] - s[0])))
+    kept = []
+    for span in spans:
+        if not any(spans_overlap(span, k) for k in kept):
+            kept.append(span)
+    return sorted(kept)
+
+
+def test_find_all_mentions_matches_the_per_entity_scan():
+    rng = random.Random(17)
+    words = ["the", "The", "big", "BIG", "rock", "Rock", "rock", "carbon", "Carbon",
+             "dioxide", "water", "Water", "of", ".", "rock-salt"]
+    aliases = ["rock", "big rock", "rock rock", "the big rock", "carbon dioxide", "dioxide",
+               "carbon", "water", "rock of", "of water", "rock-salt", "big rock rock"]
+    seen_multi = seen_overlap = seen_coref = 0
+    for case in range(300):
+        tokens = tuple(rng.choice(words) for _ in range(rng.randint(0, 12)))
+        step = Step(rng.randint(1, 3), " ".join(tokens), tokens)
+        entities = []
+        for k in range(rng.randint(0, 5)):
+            names = tuple(rng.choice(aliases) for _ in range(rng.randint(1, 4)))
+            coref = []
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                if len(tokens) >= 1:
+                    start = rng.randrange(len(tokens))
+                    end = rng.randint(start + 1, len(tokens))
+                    coref.append((rng.randint(1, 3), (start, end)))
+            entities.append(Entity(f"e{k}", names, tuple(coref)))
+        found = find_all_mentions(entities, step)
+        expected = [_scan_mentions(e, step) for e in entities]
+        assert found == expected, (case, tokens, entities)
+        for entity, spans in zip(entities, expected):
+            assert find_mentions(entity, step) == spans
+            seen_multi += any(b - a > 1 for a, b in spans)
+            seen_coref += bool(entity.coref_spans(step.index))
+            all_matches = [
+                (i, i + len(a.split(" ")))
+                for a in entity.aliases
+                for i in range(len(tokens))
+                if [t.lower() for t in tokens[i : i + len(a.split(" "))]] == a.split(" ")
+            ]
+            seen_overlap += any(
+                spans_overlap(x, y) for x in all_matches for y in all_matches if x != y
+            )
+    assert seen_multi and seen_overlap and seen_coref
 
 
 class TestCoref:

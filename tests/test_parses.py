@@ -25,6 +25,16 @@ class TestLoadTrips:
         assert len(move_edges) == 2
         assert {e.label for e in move_edges} == {"AFFECTED", "TO-LOC"}
 
+    def test_indexes_match_a_scan_of_the_lists(self, data_dir):
+        for path in sorted((data_dir / "parses").glob("*.trips.json")):
+            for g in load_trips(path):
+                for n in g.nodes:
+                    assert g.node(n.id) is n
+                    assert g.out_edges(n.id) == [e for e in g.edges if e.src == n.id]
+                assert g.out_edges("no such node") == []
+                with pytest.raises(KeyError):
+                    g.node("no such node")
+
     def test_dangling_edge_named(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

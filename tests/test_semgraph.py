@@ -23,12 +23,15 @@ from statetrack.parses import (
 from statetrack.semgraph import (
     COREF,
     SAME,
+    GEdge,
     GNode,
     SemanticGraph,
     _shortest_labels,
     build_srl_graph,
     build_trips_graph,
     extend_qa_graph,
+    render_graph_record,
+    write_graph_records,
 )
 
 
@@ -206,6 +209,17 @@ class TestSrlGraph:
         assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
             ("s1.N1", "s2.N1", COREF),
             ("s1.N1", "s3.N1", COREF),
+        ]
+
+    def test_node_over_the_tail_of_a_mention_links(self):
+        proc = _proc(["the salt water flows .", "The salt water boils ."], ["salt water"])
+        lfs = [
+            LogicalFormGraph(1, (_node("N1", "water", (2, 3)),), (), None),
+            LogicalFormGraph(2, (_node("N1", "salt water", (1, 3)),), (), None),
+        ]
+        graph = build_trips_graph(proc, lfs)
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.N1", "s2.N1", COREF)
         ]
 
     def test_links_match_all_pairs_scan(self):
@@ -507,3 +521,47 @@ class TestQaExtension:
         assert "ghost" in caplog.text
         assert [e for e in extended.edges if e.type_label == "QUESTION"] == []
         assert len(extended.nodes) == len(graph.nodes) + proc.num_steps + 1
+
+
+_ODD_TEXT = ["a", "Z", " ", "/", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "ß",
+             "\u2028", "水", "\U0001F600", "s1.N2", "|"]
+
+
+def _odd_text(rng):
+    return "".join(rng.choice(_ODD_TEXT) for _ in range(rng.randint(0, 6)))
+
+
+def _random_graph(rng):
+    nodes = []
+    for k in range(rng.choice([0, 1, 2, 5, 12])):
+        step = rng.choice([None, 0, 1, 7, -3, 10**12])
+        span = None
+        if rng.random() < 0.7:
+            start = rng.randint(-2, 30)
+            span = (start, start + rng.randint(0, 5))
+        kind = rng.choice(["predicate", "entity_mention", "noun_phrase", "question", "step"])
+        nodes.append(GNode(f"{_odd_text(rng)}#{k}", rng.choice([kind, _odd_text(rng)]), step,
+                           span, _odd_text(rng)))
+    edges = [
+        GEdge(_odd_text(rng), _odd_text(rng), rng.choice([SAME, COREF, "", _odd_text(rng)]))
+        for _ in range(rng.choice([0, 1, 3, 15]))
+    ]
+    return SemanticGraph(nodes=nodes, edges=edges)
+
+
+def test_graph_writer_matches_json_dumps(tmp_path):
+    """The fixed-layout writer gives the bytes json.dumps(indent=2) gives
+    for the same records' to_dict form."""
+    rng = random.Random(23)
+    out = tmp_path / "graphs.json"
+    for _ in range(300):
+        records = []
+        for _ in range(rng.choice([0, 1, 1, 2, 4])):
+            entity = rng.choice([None, "water", _odd_text(rng)])
+            records.append((_odd_text(rng), entity, _random_graph(rng)))
+        write_graph_records(out, [render_graph_record(*r) for r in records])
+        expected = json.dumps(
+            [{"procedure": p, "entity": e, "graph": g.to_dict()} for p, e, g in records],
+            indent=2,
+        ) + "\n"
+        assert out.read_bytes() == expected.encode()
