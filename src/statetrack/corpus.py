@@ -70,6 +70,13 @@ def as_list(value, where: str) -> list:
     return value
 
 
+def as_str(value, where: str) -> str:
+    """A JSON string."""
+    if type(value) is not str:
+        raise SchemaError(f"{where}: expected a string, got {value!r}")
+    return value
+
+
 def as_int(value, where: str) -> int:
     """``int(value)``: a number or a numeric string."""
     try:
@@ -176,7 +183,7 @@ def make_entity(raw_name: str) -> Entity:
 
 
 # ---------------------------------------------------------------------------
-# Gold action derivation and replay
+# Gold action derivation
 
 def transition(before: str, after: str) -> Action:
     """The action that turns one grid cell into the next.
@@ -210,21 +217,6 @@ def derive_actions(row: list[str]) -> list[StepAction]:
         else:
             actions.append(StepAction(action))
     return actions
-
-
-def replay_actions(initial: str, actions: list[StepAction]) -> list[str]:
-    """Apply actions to an initial location, returning the full row."""
-    row = [initial]
-    for act in actions:
-        if act.action is Action.CREATE:
-            row.append(act.to_loc if act.to_loc is not None else UNKNOWN)
-        elif act.action is Action.DESTROY:
-            row.append(NONEXISTENT)
-        elif act.action is Action.MOVE:
-            row.append(act.to_loc if act.to_loc is not None else UNKNOWN)
-        else:
-            row.append(row[-1])
-    return row
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +407,10 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
         rows = {}
         for raw_name, per_step in raw[pid].items():
             ent = make_entity(raw_name)
+            if ent.canonical_name in rows:
+                raise SchemaError(
+                    f"{grid_file}: paragraph {pid}: duplicate entity {ent.canonical_name!r}"
+                )
             entities.append(ent)
             row = _assemble_row(per_step, m, f"{grid_file}: paragraph {pid}, entity {raw_name!r}")
             rows[ent.canonical_name] = [normalize(c) for c in row]

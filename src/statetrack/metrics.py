@@ -34,7 +34,7 @@ from .corpus import (
     transition,
 )
 from .errors import SchemaError
-from .parses import ActionClass, ontology_class
+from .parses import ActionClass, ontology_class, parses_by_step
 
 EVENT_KINDS = ("created", "destroyed", "moved")
 
@@ -308,12 +308,8 @@ def _location_mentioned(location: str, tokens: list[str]) -> bool:
 
 def _action_verb_counts(proc: Procedure, lf_graphs, ontology, class_map) -> dict[int, int]:
     counts = {}
-    by_index = {g.sentence_index: g for g in lf_graphs or []}
+    by_index = parses_by_step(proc, lf_graphs or [])
     for step in proc.steps:
-        if step.index not in by_index:
-            raise SchemaError(
-                f"procedure {proc.id}: ambiguity check needs a parse for step {step.index}"
-            )
         lf = by_index[step.index]
         counts[step.index] = sum(
             1

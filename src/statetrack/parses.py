@@ -15,7 +15,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import as_int, as_list, as_span, require_key, spans_overlap
+from .corpus import as_int, as_list, as_span, as_str, require_key, spans_overlap
 from .errors import InputFileError, SchemaError
 
 CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
@@ -120,13 +120,14 @@ def _parse_lf_obj(obj: dict, source: str) -> LogicalFormGraph:
             raise SchemaError(f"{where}: duplicate node id {nid!r}")
         ids.add(nid)
         span = n.get("span")
+        this = f"{where}: node {nid}"
         nodes.append(
             LfNode(
                 id=nid,
-                indicator=str(n.get("indicator", "")),
-                onto_type=str(n.get("type", "")).upper(),
-                word=str(n.get("word", "")),
-                span=as_span(span, f"{where}: node {nid}") if span is not None else None,
+                indicator=as_str(n.get("indicator", ""), f"{this}: indicator"),
+                onto_type=as_str(n.get("type", ""), f"{this}: type").upper(),
+                word=as_str(n.get("word", ""), f"{this}: word"),
+                span=as_span(span, this) if span is not None else None,
             )
         )
     edges = []
@@ -206,15 +207,24 @@ def load_srl(path) -> list[SrlDoc]:
                 aspan = as_span(require_key(a, "span", arg_where), arg_where)
                 if spans_overlap(aspan, pspan):
                     raise SchemaError(f"{where}: argument span {aspan} overlaps predicate {pspan}")
-                role = str(require_key(a, "role", arg_where)).upper()
-                text = str(require_key(a, "text", arg_where))
+                role = as_str(require_key(a, "role", arg_where), f"{arg_where} role").upper()
+                text = as_str(require_key(a, "text", arg_where), f"{arg_where} text")
                 args.append(SrlArg(role=role, span=aspan, text=text))
-            ptext = str(require_key(pred, "text", pred_where))
+            ptext = as_str(require_key(pred, "text", pred_where), f"{pred_where} text")
             frames.append(SrlFrame(predicate_span=pspan, predicate_text=ptext, args=tuple(args)))
         docs.append(SrlDoc(sentence_index=idx, frames=tuple(frames)))
     _reject_duplicate_indices(docs, path)
     docs.sort(key=lambda d: d.sentence_index)
     return docs
+
+
+def parses_by_step(procedure, parses) -> dict:
+    """A procedure's parses keyed by sentence index; every step must have one."""
+    by_index = {p.sentence_index: p for p in parses}
+    missing = [s.index for s in procedure.steps if s.index not in by_index]
+    if missing:
+        raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")
+    return by_index
 
 
 def _reject_duplicate_indices(parses, path) -> None:

@@ -1,8 +1,11 @@
 """Global reasoning: turn per-step local decisions into one consistent
 action sequence and location row per entity.
 
-Two forward passes (action fixing, then location resolution) follow the
-local decisions in step order; a final reconciliation derives the action
+``predict`` passes over a procedure's steps once, filing every local
+decision and passive location fact under the entity it concerns as it is
+made; each entity's timeline is then settled on its own.  Two forward
+passes (action fixing, then location resolution) follow the local
+decisions in step order; a final reconciliation derives the action
 sequence back from the replayed location row so that the exported actions
 and the exported grid can never disagree.
 """
@@ -22,9 +25,8 @@ from .corpus import (
     StateGrid,
     StepAction,
     derive_actions,
-    replay_actions,
 )
-from .errors import SchemaError
+from .parses import parses_by_step
 from .rules import LocalDecision, apply_rules, match_argument
 
 logger = logging.getLogger(__name__)
@@ -43,19 +45,12 @@ class EntityTimeline:
 
 @dataclass
 class FixedSequence:
-    """A fixed action sequence plus the inferred pre-process location.
-
-    ``row`` is the resolved location row (initial location first); when not
-    supplied it is the plain replay of the actions.
-    """
+    """A fixed action sequence, the inferred pre-process location and the
+    resolved location row (initial location first)."""
 
     actions: list[StepAction]
     initial_location: str
-    row: list[str] | None = None
-
-    def __post_init__(self):
-        if self.row is None:
-            self.row = replay_actions(self.initial_location, self.actions)
+    row: list[str]
 
     def reconciled(self) -> tuple[list[str], list[StepAction]]:
         """The location row and the action sequence the row itself implies.
@@ -235,49 +230,38 @@ def predict(
 ) -> StateGrid:
     """Run the whole pipeline for one procedure and assemble the grid.
 
-    Entities that never receive a decision or a passive fact are untracked
-    and get "?" in every cell.
+    One pass over the steps abstracts each step's parse, applies the rule
+    table, and files each decision under its entity and step and each
+    passive fact under every entity its holder matches.  Each entity's
+    timeline then goes through the two forward passes.  Entities that never
+    receive a decision or a passive fact are untracked and get "?" in every
+    cell.
     """
-    by_index = {g.sentence_index: g for g in lf_graphs}
-    missing = [s.index for s in procedure.steps if s.index not in by_index]
-    if missing:
-        raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")
-
-    frames_by_step = {}
-    facts_by_step = {}
+    by_index = parses_by_step(procedure, lf_graphs)
+    entities = list(procedure.entities)
+    slots: dict[str, dict[int, list[LocalDecision]]] = {e.canonical_name: {} for e in entities}
+    passive: dict[str, list[PassiveLocationFact]] = {e.canonical_name: [] for e in entities}
     for step in procedure.steps:
         frames, facts = abstract_events(by_index[step.index], ontology, class_map, synonyms)
-        frames_by_step[step.index] = frames
-        facts_by_step[step.index] = facts
-
-    decisions_by_step = {
-        step.index: apply_rules(
-            frames_by_step[step.index], list(procedure.entities), step, disabled_rules
-        )
-        for step in procedure.steps
-    }
+        for d in apply_rules(frames, entities, step, disabled_rules):
+            slots[d.entity.canonical_name].setdefault(step.index, []).append(d)
+        for fact in facts:
+            for entity in entities:
+                if match_argument(fact.holder, entity, step.index):
+                    passive[entity.canonical_name].append(fact)
 
     m = procedure.num_steps
     rows: dict[str, list[str]] = {}
-    for entity in procedure.entities:
-        slots: dict[int, list[LocalDecision]] = {}
-        for t, decisions in decisions_by_step.items():
-            mine = [d for d in decisions if d.entity == entity]
-            if mine:
-                slots[t] = mine
-        passive = [
-            f
-            for t, facts in facts_by_step.items()
-            for f in facts
-            if match_argument(f.holder, entity, t)
-        ]
-        if not slots and not passive:
-            rows[entity.canonical_name] = [UNKNOWN] * (m + 1)
+    for entity in entities:
+        name = entity.canonical_name
+        if not slots[name] and not passive[name]:
+            rows[name] = [UNKNOWN] * (m + 1)
             continue
-        timeline = EntityTimeline(entity=entity, num_steps=m, slots=slots, passive=passive)
+        timeline = EntityTimeline(
+            entity=entity, num_steps=m, slots=slots[name], passive=passive[name]
+        )
         fixed = fix_actions(timeline, strict_destroy=strict_destroy)
-        seq = resolve_locations(fixed, timeline)
-        rows[entity.canonical_name] = seq.row
+        rows[name] = resolve_locations(fixed, timeline).row
     return StateGrid(procedure_id=procedure.id, rows=rows)
 
 

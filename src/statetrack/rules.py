@@ -80,6 +80,7 @@ def apply_rules(
     the tracked entities.  Unknown rule names in ``disabled`` are ignored.
     """
     decisions: list[LocalDecision] = []
+    decided: set[tuple[str, str]] = set()  # (frame node, entity name) pairs
 
     def emit(rule: str, frame: EventFrame, arg: ArgRef, action: Action,
              from_loc: str | None = None, to_loc: str | None = None) -> None:
@@ -87,9 +88,11 @@ def apply_rules(
             return
         for entity in entities:
             # at most one decision per (entity, frame)
-            if any(d.frame_node == frame.node_id and d.entity == entity for d in decisions):
+            key = (frame.node_id, entity.canonical_name)
+            if key in decided:
                 continue
             if match_argument(arg, entity, step.index):
+                decided.add(key)
                 decisions.append(
                     LocalDecision(
                         step_index=step.index,

@@ -42,7 +42,7 @@ from .corpus import (
     spans_overlap,
 )
 from .errors import SchemaError
-from .parses import LogicalFormGraph, SrlDoc
+from .parses import LogicalFormGraph, SrlDoc, parses_by_step
 
 logger = logging.getLogger(__name__)
 
@@ -214,15 +214,10 @@ def _check_span(span: tuple[int, int], step: Step, what: str) -> None:
         )
 
 
-def build_srl_graph(
-    procedure: Procedure,
-    srl_docs: list[SrlDoc],
-    include_adjunct_pairs: bool = True,
-) -> SemanticGraph:
+def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGraph:
     """Graph over frame parses: untyped edges inside each verb frame, plus
     cross-sentence mention links."""
-    by_index = {d.sentence_index: d for d in srl_docs}
-    _require_all_steps(procedure, by_index)
+    by_index = parses_by_step(procedure, srl_docs)
     step_mentions = _step_mentions(procedure)
     graph = SemanticGraph()
     for step in procedure.steps:
@@ -246,16 +241,12 @@ def build_srl_graph(
             pred_id = ensure(frame.predicate_span, frame.predicate_text, "predicate")
             arg_ids = []
             for arg in frame.args:
-                arg_ids.append((ensure(arg.span, arg.text, "noun_phrase"), arg.role))
-            for arg_id, _role in arg_ids:
+                arg_ids.append(ensure(arg.span, arg.text, "noun_phrase"))
+            for arg_id in arg_ids:
                 graph.add_edge(pred_id, arg_id, "")
             for i in range(len(arg_ids)):
                 for j in range(i + 1, len(arg_ids)):
-                    if not include_adjunct_pairs and (
-                        arg_ids[i][1].startswith("ARGM") or arg_ids[j][1].startswith("ARGM")
-                    ):
-                        continue
-                    graph.add_edge(arg_ids[i][0], arg_ids[j][0], "")
+                    graph.add_edge(arg_ids[i], arg_ids[j], "")
         for span in sorted(mentions):
             if span not in span_to_id and not any(spans_overlap(span, s) for s in span_to_id):
                 text = " ".join(step.tokens[span[0] : span[1]])
@@ -266,8 +257,7 @@ def build_srl_graph(
 
 def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -> SemanticGraph:
     """Graph over logical-form parses, keeping role labels on the edges."""
-    by_index = {g.sentence_index: g for g in lf_graphs}
-    _require_all_steps(procedure, by_index)
+    by_index = parses_by_step(procedure, lf_graphs)
     step_mentions = _step_mentions(procedure)
     graph = SemanticGraph()
     for step in procedure.steps:
@@ -409,9 +399,3 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
         for node in by_step.get(step.index, []):
             out.add_edge(step_id, node.id, STEP_EDGE)
     return out
-
-
-def _require_all_steps(procedure: Procedure, by_index: dict) -> None:
-    missing = [s.index for s in procedure.steps if s.index not in by_index]
-    if missing:
-        raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")

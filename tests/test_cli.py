@@ -187,6 +187,26 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    def test_duplicate_tsv_entity_is_exit_4(self, data_dir, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "paragraphs.tsv").write_text("7\t1\tWater falls .\n")
+        grid = "7\t1\tWater\tMOVE\tsky\tsoil\n7\t1\twater\tMOVE\tsky\tsoil\n"
+        (corpus / "grids.tsv").write_text(grid)
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
+        code = main([
+            "evaluate",
+            "--pred", str(pred),
+            "--corpus", str(corpus),
+            "--corpus-format", "propara-tsv",
+            "--tier", "sentence",
+        ])
+        assert code == 4
+        assert f"{corpus / 'grids.tsv'}: paragraph 7: duplicate entity 'water'" in (
+            capsys.readouterr().err
+        )
+
     def test_table_format(self, data_dir, tmp_path, capsys):
         pred = tmp_path / "pred.tsv"
         assert main(_predict_args(data_dir, pred)) == 0
@@ -381,6 +401,18 @@ class TestBuildGraphSchemaErrors:
             ("srl", _break_parse("erosion-1.srl.json", lambda s: s.pop("sentence_index"))),
             ("srl", _break_parse("erosion-1.srl.json",
                                  lambda s: s["frames"][0]["args"][0].update(span=[0, 1, 2]))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["nodes"][0].update(word=None))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["nodes"][0].update(type=None))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["nodes"][0].update(indicator=3))),
+            ("srl", _break_parse("erosion-1.srl.json",
+                                 lambda s: s["frames"][0]["args"][0].update(role=None))),
+            ("srl", _break_parse("erosion-1.srl.json",
+                                 lambda s: s["frames"][0]["args"][0].update(text=None))),
+            ("srl", _break_parse("erosion-1.srl.json",
+                                 lambda s: s["frames"][0]["predicate"].update(text=None))),
         ],
         ids=[
             "step-without-index", "non-integer-step-index", "non-string-step-text",
@@ -388,6 +420,8 @@ class TestBuildGraphSchemaErrors:
             "nodes-not-a-list", "parse-without-sentence-index",
             "edge-without-dst", "span-of-one-integer", "span-with-a-string",
             "srl-without-sentence-index", "srl-span-of-three-integers",
+            "null-word", "null-type", "integer-indicator",
+            "srl-null-role", "srl-null-argument-text", "srl-null-predicate-text",
         ],
     )
     def test_malformed_input_is_exit_4(self, data_dir, tmp_path, capsys, parser, breaker):
@@ -404,6 +438,22 @@ class TestBuildGraphSchemaErrors:
         err = capsys.readouterr().err
         assert code == 4, err
         assert str(broken) in err
+        assert not out.exists()
+
+    def test_abstract_rejects_a_null_word(self, data_dir, tmp_path, capsys):
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        broken = _break_parse("erosion-1.trips.json",
+                              lambda s: s["nodes"][0].update(word=None))(corpus, parses)
+        out = tmp_path / "frames.json"
+        code = main([
+            "abstract",
+            "--corpus", str(corpus),
+            "--parses", str(parses),
+            "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert f"{broken}: sentence 3: node V1: word: expected a string, got None" in err
         assert not out.exists()
 
     def test_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):

@@ -15,11 +15,23 @@ from statetrack.corpus import (
     load_procedures,
     make_entity,
     normalize,
-    replay_actions,
     spans_overlap,
     tokenize,
 )
 from statetrack.errors import SchemaError
+
+
+def _replay(initial, actions):
+    """The row a sequence of fully located actions leads to."""
+    row = [initial]
+    for act in actions:
+        if act.action is Action.DESTROY:
+            row.append("-")
+        elif act.action is Action.NONE:
+            row.append(row[-1])
+        else:
+            row.append(act.to_loc)
+    return row
 
 
 def _write_corpus(tmp_path, obj):
@@ -90,6 +102,14 @@ class TestLoading:
         with pytest.raises(SchemaError, match="prior after-location"):
             load_procedures(tmp_path, "propara-tsv")
 
+    def test_propara_tsv_duplicate_entity(self, tmp_path):
+        (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n")
+        (tmp_path / "grids.tsv").write_text(
+            "7\t1\tWater\tMOVE\tsky\tsoil\n7\t1\twater\tNONE\tmud\tmud\n"
+        )
+        with pytest.raises(SchemaError, match=r"grids\.tsv: paragraph 7: duplicate entity 'water'"):
+            load_procedures(tmp_path, "propara-tsv")
+
     def test_propara_tsv_non_integer_sentence_index(self, tmp_path):
         (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\tx\tAgain .\n")
         (tmp_path / "grids.tsv").write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
@@ -128,7 +148,7 @@ class TestDeriveActions:
             row = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
             actions = derive_actions(row)
             assert len(actions) == len(row) - 1
-            assert replay_actions(row[0], actions) == row
+            assert _replay(row[0], actions) == row
             for t, act in enumerate(actions, start=1):
                 if act.action is Action.CREATE:
                     assert row[t - 1] == "-"

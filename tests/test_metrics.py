@@ -149,7 +149,7 @@ class TestCategorize:
         procedures, gold = small_corpus
         parses = dict(small_parses)
         parses["p2"] = parses["p2"][:1]
-        with pytest.raises(SchemaError, match="step 2"):
+        with pytest.raises(SchemaError, match=r"step\(s\) \[2\]"):
             categorize_decisions(
                 gold, procedures, parses, default_ontology(), default_class_map()
             )

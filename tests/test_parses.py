@@ -58,6 +58,12 @@ class TestLoadTrips:
         (g,) = load_trips(path)
         assert g.nodes == () and g.edges == ()
 
+    def test_missing_node_fields_read_as_empty(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"sentence_index": 1, "nodes": [{"id": "N1"}]}))
+        (node,) = load_trips(path)[0].nodes
+        assert (node.indicator, node.onto_type, node.word, node.span) == ("", "", "", None)
+
     def test_duplicate_node_id(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text(

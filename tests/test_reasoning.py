@@ -4,24 +4,34 @@ import random
 import pytest
 
 from genutil import random_timeline
-from statetrack.abstraction import default_role_synonyms
+from statetrack.abstraction import abstract_events, default_role_synonyms
 from statetrack.corpus import (
+    UNKNOWN,
     Action,
     Entity,
+    Procedure,
+    StateGrid,
+    Step,
     StepAction,
     derive_actions,
     load_procedures,
 )
 from statetrack.errors import SchemaError
-from statetrack.parses import default_class_map, default_ontology, load_trips
+from statetrack.parses import (
+    LfEdge,
+    LfNode,
+    LogicalFormGraph,
+    default_class_map,
+    default_ontology,
+    load_trips,
+)
 from statetrack.reasoning import (
     EntityTimeline,
-    FixedSequence,
     fix_actions,
     predict,
     resolve_locations,
 )
-from statetrack.rules import LocalDecision
+from statetrack.rules import LocalDecision, apply_rules, match_argument
 
 ENTITY = Entity("thing", ("thing",))
 
@@ -282,6 +292,135 @@ class TestPredict:
         graphs = load_trips(data_dir / "parses" / "erosion-1.trips.json")[:2]
         with pytest.raises(SchemaError, match=r"step\(s\) \[3\]"):
             predict(proc, graphs, *cfg)
+
+
+def _reference_predict(procedure, lf_graphs, ontology, class_map, synonyms):
+    """``predict`` as it grouped decisions before the one-pass rewrite:
+    per-step frame, fact and decision dicts, then for every entity an
+    equality filter over every step's decisions and a scan of every passive
+    fact."""
+    by_index = {g.sentence_index: g for g in lf_graphs}
+    frames_by_step = {}
+    facts_by_step = {}
+    for step in procedure.steps:
+        frames, facts = abstract_events(by_index[step.index], ontology, class_map, synonyms)
+        frames_by_step[step.index] = frames
+        facts_by_step[step.index] = facts
+    decisions_by_step = {
+        step.index: apply_rules(frames_by_step[step.index], list(procedure.entities), step)
+        for step in procedure.steps
+    }
+    m = procedure.num_steps
+    rows = {}
+    for entity in procedure.entities:
+        slots = {}
+        for t, decisions in decisions_by_step.items():
+            mine = [d for d in decisions if d.entity == entity]
+            if mine:
+                slots[t] = mine
+        passive = [
+            f
+            for t, facts in facts_by_step.items()
+            for f in facts
+            if match_argument(f.holder, entity, t)
+        ]
+        if not slots and not passive:
+            rows[entity.canonical_name] = [UNKNOWN] * (m + 1)
+            continue
+        timeline = EntityTimeline(entity=entity, num_steps=m, slots=slots, passive=passive)
+        seq = resolve_locations(fix_actions(timeline), timeline)
+        rows[entity.canonical_name] = seq.row
+    return StateGrid(procedure_id=procedure.id, rows=rows)
+
+
+# Entities drawn for random procedures; "liquid" and "water" are shared
+# aliases, so one phrase can name two entities.
+_ENTITY_POOL = [
+    ("water", "liquid"),
+    ("rain", "liquid"),
+    ("steam", "vapor", "water"),
+    ("rock",),
+    ("sand", "grain"),
+    ("magma",),
+    ("lava",),
+]
+_PLACES = ["pond", "lake", "soil", "air", "valley"]
+_PREDICATE_TYPES = ["MOTION", "FALL", "CREATE", "FORM", "DESTROY", "TRANSFORMATION", "SAY"]
+_ROLE_LABELS = ["AFFECTED", "AFFECTED", "AGENT", "RES", "RESULT", "AFFECTED-RESULT"]
+_LOCATION_LABELS = ["GOAL", "INTO", "SOURCE", "FROM", "LOC", "AT"]
+
+
+def _random_procedure(rng, pid):
+    """A procedure with one random logical-form parse per step: several
+    predicates per sentence (so decisions can conflict), change frames,
+    noun phrases naming entities by alias or head noun, coreference
+    mentions, and locatives off non-predicate nodes (passive facts)."""
+    chosen = rng.sample(_ENTITY_POOL, rng.randint(2, 5))
+    nouns = [alias for names in chosen for alias in names] + _PLACES + ["it", "cloud"]
+    steps, graphs, coref = [], [], {names[0]: [] for names in chosen}
+    for t in range(1, rng.randint(1, 7) + 1):
+        tokens, nodes, edges = [], [], []
+        predicates, phrases = [], []
+        for k in range(rng.randint(2, 4)):
+            tokens.append(f"verb{k}")
+            nid = f"V{k}"
+            nodes.append(LfNode(nid, "F", rng.choice(_PREDICATE_TYPES), f"verb{k}",
+                                (len(tokens) - 1, len(tokens))))
+            predicates.append(nid)
+        for k in range(rng.randint(2, 6)):
+            word = rng.choice(nouns)
+            if rng.random() < 0.2:
+                word = f"big {word}"
+            start = len(tokens)
+            tokens.extend(word.split(" "))
+            nid = f"N{k}"
+            if rng.random() < 0.2:
+                word = f"the {word}"
+            nodes.append(LfNode(nid, "THE", "THING", word, (start, len(tokens))))
+            phrases.append(nid)
+            if rng.random() < 0.25:
+                coref[rng.choice(chosen)[0]].append((t, (start, start + 1)))
+        for pred in predicates:
+            for _ in range(rng.randint(0, 3)):
+                label = rng.choice(_ROLE_LABELS + _LOCATION_LABELS)
+                edges.append(LfEdge(pred, label, rng.choice(phrases)))
+        for _ in range(rng.randint(0, 3)):
+            holder, place = rng.sample(phrases, 2)
+            edges.append(LfEdge(holder, rng.choice(["LOC", "IN", "AT", "ON"]), place))
+        steps.append(Step(t, " ".join(tokens), tuple(tokens)))
+        graphs.append(LogicalFormGraph(t, tuple(nodes), tuple(edges), None))
+    entities = tuple(
+        Entity(names[0], names, tuple(sorted(set(coref[names[0]])))) for names in chosen
+    )
+    return Procedure(pid, tuple(steps), entities), graphs
+
+
+def test_predict_matches_the_per_entity_grouping(data_dir, small_corpus, cfg):
+    fixtures = [p for p, _ in load_procedures(data_dir / "corpus_predict.json")]
+    fixtures += small_corpus[0]
+    cases = [(p, load_trips(data_dir / "parses" / f"{p.id}.trips.json")) for p in fixtures]
+    rng = random.Random(5)
+    cases += [_random_procedure(rng, f"r{k}") for k in range(300)]
+
+    seen = {"conflict": 0, "change": 0, "shared": 0, "coref": 0, "passive": 0}
+    for proc, graphs in cases:
+        assert predict(proc, graphs, *cfg).rows == _reference_predict(proc, graphs, *cfg).rows
+        for step, graph in zip(proc.steps, graphs):
+            frames, facts = abstract_events(graph, *cfg)
+            decisions = apply_rules(frames, list(proc.entities), step)
+            per_entity = [d.entity.canonical_name for d in decisions]
+            seen["conflict"] += len(per_entity) > len(set(per_entity))
+            seen["change"] += any(d.rule == "change_affected_res" for d in decisions)
+            frame_of = {f.node_id: f for f in frames}
+            for d in decisions:
+                # matched through a coreference mention, not an alias
+                roles = frame_of[d.frame_node].roles.values()
+                seen["coref"] += not any(match_argument(a, d.entity) for a in roles)
+            for fact in facts:
+                holders = [e for e in proc.entities if match_argument(fact.holder, e, step.index)]
+                seen["passive"] += bool(holders)
+                seen["shared"] += len(holders) > 1
+    assert all(count > 0 for count in seen.values()), seen
 
 
 class TestConsistency:

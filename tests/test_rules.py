@@ -55,6 +55,17 @@ class TestRuleTable:
         assert d.action.action is Action.DESTROY
         assert d.action.from_loc == "air"
 
+    def test_one_decision_per_entity_and_frame(self):
+        # Both roles name "water"; the first entity takes the destroy, so
+        # the create goes to the next entity the result matches.
+        frame = _frame(ActionClass.CHANGE, {"AFFECTED": "water", "RES": "water"})
+        entities = [_ent("water"), Entity("steam", ("steam", "water"))]
+        decisions = apply_rules([frame], entities, _step())
+        assert [(d.entity.canonical_name, d.action.action) for d in decisions] == [
+            ("water", Action.DESTROY),
+            ("steam", Action.CREATE),
+        ]
+
     def test_create_affected_result_priority(self):
         frame = _frame(ActionClass.CREATE, {"AFFECTED_RESULT": "vapor", "AFFECTED": "water"})
         decisions = apply_rules([frame], [_ent("water"), _ent("vapor")], _step())

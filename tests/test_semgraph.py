@@ -288,10 +288,8 @@ class TestSrlGraph:
                 ),
             ),
         )
-        with_pairs = build_srl_graph(proc, [doc], include_adjunct_pairs=True)
-        without = build_srl_graph(proc, [doc], include_adjunct_pairs=False)
-        assert len(with_pairs.edges) == 3
-        assert len(without.edges) == 2
+        # predicate-argument edges plus the argument pair, adjunct included
+        assert len(build_srl_graph(proc, [doc]).edges) == 3
 
 
 class TestTripsGraph:
