@@ -21,6 +21,7 @@ from . import metrics, reasoning, semgraph
 from .abstraction import abstract_events, default_role_synonyms
 from .errors import ConfigError, InputFileError, SchemaError
 from .parses import default_class_map, default_ontology, load_srl, load_trips
+from .rules import RULE_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("gat-check", help="run the attention-layer invariant suite")
     check.add_argument("--seed", type=int, default=0)
-    check.add_argument("--rounds", type=int, default=100)
+    check.add_argument("--rounds", type=_positive_int, default=100)
     check.add_argument("--format", choices=["text", "json"], default="text")
     check.set_defaults(func=cmd_gat_check)
     return parser
@@ -135,10 +136,7 @@ def _load_corpus(args):
 
 
 def _parse_file(parse_dir: str, procedure_id: str, kind: str) -> Path:
-    path = Path(parse_dir) / f"{procedure_id}.{kind}.json"
-    if not path.exists():
-        raise InputFileError(f"parse file not found: {path}")
-    return path
+    return Path(parse_dir) / f"{procedure_id}.{kind}.json"
 
 
 def _load_configs(args):
@@ -172,6 +170,10 @@ def cmd_predict(args) -> int:
         disabled = frozenset(
             line.strip() for line in path.read_text().splitlines() if line.strip()
         )
+        unknown = sorted(disabled.difference(RULE_NAMES))
+        if unknown:
+            raise ConfigError(f"{path}: unknown rule(s) {', '.join(map(repr, unknown))};"
+                              f" known rules: {', '.join(RULE_NAMES)}")
     payloads = [
         (
             proc,
@@ -228,6 +230,12 @@ def cmd_abstract(args) -> int:
 
 def cmd_build_graph(args) -> int:
     procedures, _ = _load_corpus(args)
+    known = {alias for proc in procedures for e in proc.entities for alias in e.aliases}
+    unknown = [name for name in args.qa_entity if corpus_mod.normalize(name) not in known]
+    if unknown:
+        raise ConfigError(
+            f"--qa-entity names no entity of any procedure: {', '.join(map(repr, unknown))}"
+        )
     records = []  # rendered as soon as each graph is built; written once at the end
     for proc in procedures:
         if args.parser == "trips":

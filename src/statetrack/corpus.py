@@ -51,7 +51,9 @@ def tokenize(text: str) -> list[str]:
 
 # Checked accessors for loaded JSON and TSV fields: each raises a
 # SchemaError naming ``where`` (file, and line or record) instead of letting
-# a KeyError, TypeError or ValueError escape as a traceback.
+# a KeyError, TypeError or ValueError escape as a traceback.  The JSON
+# loaders pass a constant field label and add the file and record to the
+# message only when a check fails.
 
 def require_key(obj, key: str, where: str):
     """``obj[key]`` of a JSON object."""
@@ -77,12 +79,32 @@ def as_str(value, where: str) -> str:
     return value
 
 
+def as_str_list(value, where: str) -> list[str]:
+    """A JSON array of strings."""
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise SchemaError(f"{where}: expected a list of strings, got {value!r}")
+    return value
+
+
+def as_id(value, where: str) -> str:
+    """An identifier: a string, or an integer read as its decimal text."""
+    if type(value) is str:
+        return value
+    if type(value) is int:  # not bool
+        return str(value)
+    raise SchemaError(f"{where}: expected a string or an integer, got {value!r}")
+
+
 def as_int(value, where: str) -> int:
-    """``int(value)``: a number or a numeric string."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"{where}: expected an integer, got {value!r}") from None
+    """An integer, or a string of one; floats and booleans are rejected."""
+    if type(value) is int:
+        return value
+    if type(value) is str:
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise SchemaError(f"{where}: expected an integer, got {value!r}")
 
 
 def as_span(value, where: str) -> tuple[int, int]:
@@ -91,7 +113,7 @@ def as_span(value, where: str) -> tuple[int, int]:
         start, end = value
         if type(start) is int and type(end) is int:  # not bool, not float
             return (start, end)
-    raise SchemaError(f"{where}: span must be two integers, got {value!r}")
+    raise SchemaError(f"{where}: expected two integers, got {value!r}")
 
 
 class Action(str, Enum):
@@ -169,9 +191,6 @@ class StateGrid:
 
     procedure_id: str
     rows: dict[str, list[str]]
-
-    def row(self, entity_name: str) -> list[str]:
-        return self.rows[entity_name]
 
 
 def make_entity(raw_name: str) -> Entity:
@@ -277,101 +296,101 @@ def load_procedures(path, fmt: str = "json") -> list[tuple[Procedure, StateGrid]
     ``grids.tsv`` in the six-column action layout (id, step, entity, action,
     before location, after location).
     """
-    path = Path(path)
-    if not path.exists():
-        raise InputFileError(f"corpus path not found: {path}")
     if fmt == "json":
-        return _load_json_corpus(path)
+        source = str(path)
+        return [_parse_procedure_obj(obj, source) for obj in read_json_records(path, "corpus path")]
     if fmt == "propara-tsv":
-        return _load_propara_tsv(path)
+        return _load_propara_tsv(Path(path))
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def _load_json_corpus(path: Path) -> list[tuple[Procedure, StateGrid]]:
+def read_json_records(path, what: str) -> list:
+    """The records of a JSON input file: its top-level array, or a top-level
+    object as a one-item list.  A missing file is an InputFileError
+    ``"{what} not found: {path}"``; text that is not JSON, or whose top
+    level is neither, is a SchemaError."""
+    path = Path(path)
     try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        data = [data]
-    out = []
-    for obj in data:
-        out.append(_parse_procedure_obj(obj, str(path)))
-    return out
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        raise InputFileError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise InputFileError(f"{what} unreadable: {path}: {exc.strerror}") from None
+    try:
+        data = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or a number past int's digit limit
+        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
+    return [data] if type(data) is dict else as_list(data, str(path))
 
 
-def _parse_procedure_obj(obj: dict, source: str) -> tuple[Procedure, StateGrid]:
+def _parse_procedure_obj(obj, source: str) -> tuple[Procedure, StateGrid]:
+    pid = None
     try:
-        pid = str(obj["id"])
-        raw_steps = obj["steps"]
-        raw_entities = obj["entities"]
-        raw_grid = obj["gold_grid"]
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{source}: procedure object missing key {exc}") from exc
-    as_list(raw_steps, f"{source}: procedure {pid}: steps")
-    as_list(raw_entities, f"{source}: procedure {pid}: entities")
-    if not isinstance(raw_grid, dict):
-        raise SchemaError(f"{source}: procedure {pid}: gold_grid must be an object")
+        raw_id = require_key(obj, "id", "procedure")
+        raw_steps = as_list(require_key(obj, "steps", "procedure"), "steps")
+        raw_entities = as_list(require_key(obj, "entities", "procedure"), "entities")
+        raw_grid = require_key(obj, "gold_grid", "procedure")
+        pid = as_id(raw_id, "procedure id")
+        return _procedure_and_grid(pid, raw_steps, raw_entities, raw_grid)
+    except SchemaError as exc:
+        where = source if pid is None else f"{source}: procedure {pid}"
+        raise SchemaError(f"{where}: {exc}") from None
+
+
+def _procedure_and_grid(
+    pid: str, raw_steps: list, raw_entities: list, raw_grid
+) -> tuple[Procedure, StateGrid]:
+    if type(raw_grid) is not dict:
+        raise SchemaError(f"gold_grid: expected an object, got {type(raw_grid).__name__}")
     if not raw_steps:
-        raise SchemaError(f"{source}: procedure {pid}: needs at least one step")
+        raise SchemaError("needs at least one step")
     steps = []
     for i, s in enumerate(raw_steps, start=1):
-        where = f"{source}: procedure {pid}: step {i}"
-        idx = as_int(require_key(s, "index", where), where)
+        raw_index, text = require_key(s, "index", "step"), require_key(s, "text", "step")
+        try:
+            idx = as_int(raw_index, "index")
+            text = as_str(text, "text")
+            tokens = as_str_list(s["tokens"], "tokens") if "tokens" in s else tokenize(text)
+        except SchemaError as exc:
+            raise SchemaError(f"step {i}: {exc}") from None
         if idx != i:
-            raise SchemaError(
-                f"{source}: procedure {pid}: step indices must be contiguous from 1,"
-                f" got {idx} at position {i}"
-            )
-        text = require_key(s, "text", where)
-        if not isinstance(text, str):
-            raise SchemaError(f"{where}: text must be a string")
-        tokens = s["tokens"] if "tokens" in s else tokenize(text)
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise SchemaError(f"{where}: tokens must be a list of strings")
+            raise SchemaError(f"step indices must be contiguous from 1, got {idx} at position {i}")
         steps.append(Step(index=idx, text=text, tokens=tuple(tokens)))
     m = len(steps)
     entities = []
     seen_names = set()
     for e in raw_entities:
-        where = f"{source}: procedure {pid}: entity"
-        raw_name = require_key(e, "name", where) if isinstance(e, dict) else e
-        if not isinstance(raw_name, str):
-            raise SchemaError(f"{where}: name must be a string, got {raw_name!r}")
-        ent = make_entity(raw_name)
-        if isinstance(e, dict) and e.get("aliases"):
-            aliases = as_list(e["aliases"], where)
-            if not all(isinstance(a, str) for a in aliases):
-                raise SchemaError(f"{where}: aliases must be strings, got {aliases!r}")
-            extra = tuple(normalize(a) for a in aliases)
-            ent = Entity(ent.canonical_name, tuple(dict.fromkeys(ent.aliases + extra)))
+        if type(e) is dict:  # {"name": ..., "aliases": [...]}, or the bare name
+            raw_name, extra = require_key(e, "name", "entity"), e.get("aliases")
+        else:
+            raw_name, extra = e, None
+        ent = make_entity(as_str(raw_name, "entity name"))
+        if extra:
+            aliases = ent.aliases + tuple(normalize(a) for a in as_str_list(extra, "entity aliases"))
+            ent = Entity(ent.canonical_name, tuple(dict.fromkeys(aliases)))
         if ent.canonical_name in seen_names:
-            raise SchemaError(f"{source}: procedure {pid}: duplicate entity {ent.canonical_name!r}")
+            raise SchemaError(f"duplicate entity {ent.canonical_name!r}")
         seen_names.add(ent.canonical_name)
         entities.append(ent)
     rows: dict[str, list[str]] = {}
     for raw_name, cells in raw_grid.items():
         key = make_entity(raw_name).canonical_name
         if key not in seen_names:
-            raise SchemaError(f"{source}: procedure {pid}: grid row for unknown entity {raw_name!r}")
-        if not isinstance(cells, list) or not all(isinstance(c, str) for c in cells):
-            raise SchemaError(
-                f"{source}: procedure {pid}: entity {key!r}: cells must be a list of strings"
-            )
-        if len(cells) != m + 1:
-            raise SchemaError(
-                f"{source}: procedure {pid}: entity {key!r}: expected {m + 1} cells, got {len(cells)}"
-            )
+            raise SchemaError(f"grid row for unknown entity {raw_name!r}")
+        if len(as_str_list(cells, "gold_grid row")) != m + 1:
+            raise SchemaError(f"entity {key!r}: expected {m + 1} cells, got {len(cells)}")
         rows[key] = [normalize(c) for c in cells]
     for ent in entities:
         if ent.canonical_name not in rows:
-            raise SchemaError(f"{source}: procedure {pid}: no grid row for entity {ent.canonical_name!r}")
+            raise SchemaError(f"no grid row for entity {ent.canonical_name!r}")
     proc = Procedure(id=pid, steps=tuple(steps), entities=tuple(entities))
     grid = StateGrid(procedure_id=pid, rows={e.canonical_name: rows[e.canonical_name] for e in entities})
     return proc, grid
 
 
 def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
+    if not path.exists():
+        raise InputFileError(f"corpus path not found: {path}")
     if not path.is_dir():
         raise InputFileError(f"propara-tsv format expects a directory, got {path}")
     para_file = path / "paragraphs.tsv"
@@ -435,30 +454,32 @@ def _assemble_row(per_step: dict[int, tuple[str, str]], m: int, where: str) -> l
 
 
 def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
-    """Attach sidecar coreference mentions to the matching procedures."""
-    path = Path(path)
-    if not path.exists():
-        raise InputFileError(f"coref sidecar not found: {path}")
-    try:
-        data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if isinstance(data, dict):
-        data = [data]
+    """Attach sidecar coreference mentions to the matching procedures.  A
+    mention's ``entity`` must name an alias of an entity of its procedure."""
+    source = str(path)
     by_id = {p.id: p for p in procedures}
     mentions: dict[str, dict[str, list]] = {}
-    for obj in data:
-        pid = str(require_key(obj, "procedure_id", str(path)))
-        if pid not in by_id:
-            raise SchemaError(f"{path}: coref for unknown procedure {pid!r}")
-        for men in as_list(obj.get("mentions", []), str(path)):
-            where = f"{path}: procedure {pid}: mention"
-            ent_name = normalize(str(require_key(men, "entity", where)))
-            step = as_int(require_key(men, "step", where), where)
-            span = as_span(require_key(men, "span", where), where)
-            if span[0] >= span[1]:
-                raise SchemaError(f"{path}: bad span {span} for {ent_name!r}")
-            mentions.setdefault(pid, {}).setdefault(ent_name, []).append((step, span))
+    for obj in read_json_records(path, "coref sidecar"):
+        pid = None
+        try:
+            raw_id = as_id(require_key(obj, "procedure_id", "coref record"), "procedure_id")
+            if raw_id not in by_id:
+                raise SchemaError(f"coref for unknown procedure {raw_id!r}")
+            pid = raw_id
+            aliases = {alias for ent in by_id[pid].entities for alias in ent.aliases}
+            for men in as_list(obj.get("mentions", []), "mentions"):
+                raw_name = as_str(require_key(men, "entity", "mention"), "mention entity")
+                ent_name = normalize(raw_name)
+                if ent_name not in aliases:
+                    raise SchemaError(f"mention of unknown entity {raw_name!r}")
+                step = as_int(require_key(men, "step", "mention"), "mention step")
+                span = as_span(require_key(men, "span", "mention"), "mention span")
+                if span[0] >= span[1]:
+                    raise SchemaError(f"bad span {span} for {ent_name!r}")
+                mentions.setdefault(pid, {}).setdefault(ent_name, []).append((step, span))
+        except SchemaError as exc:
+            where = source if pid is None else f"{source}: procedure {pid}"
+            raise SchemaError(f"{where}: {exc}") from None
     out = []
     for proc in procedures:
         per_entity = mentions.get(proc.id, {})

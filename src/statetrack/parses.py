@@ -8,14 +8,15 @@ walking the type hierarchy upward until a mapped ancestor is found.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import as_int, as_list, as_span, as_str, require_key, spans_overlap
+from .corpus import (
+    as_id, as_int, as_list, as_span, as_str, read_json_records, require_key, spans_overlap,
+)
 from .errors import InputFileError, SchemaError
 
 CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
@@ -62,93 +63,60 @@ class LogicalFormGraph:
     edges: tuple[LfEdge, ...]
     root: str | None
     _by_id: dict[str, LfNode] = field(init=False, repr=False, compare=False)
-    _out: dict[str, list[LfEdge]] = field(init=False, repr=False, compare=False)
+    _out: dict[str, tuple[LfEdge, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         out: dict[str, list[LfEdge]] = {}
         for edge in self.edges:
             out.setdefault(edge.src, []).append(edge)
         object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_out", {src: tuple(edges) for src, edges in out.items()})
 
     def node(self, node_id: str) -> LfNode:
         return self._by_id[node_id]
 
-    def out_edges(self, node_id: str) -> list[LfEdge]:
-        return list(self._out.get(node_id, ()))
-
-    def to_dict(self) -> dict:
-        return {
-            "sentence_index": self.sentence_index,
-            "root": self.root,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "indicator": n.indicator,
-                    "type": n.onto_type,
-                    "word": n.word,
-                    "span": list(n.span) if n.span is not None else None,
-                }
-                for n in self.nodes
-            ],
-            "edges": [{"src": e.src, "label": e.label, "dst": e.dst} for e in self.edges],
-        }
+    def out_edges(self, node_id: str) -> tuple[LfEdge, ...]:
+        return self._out.get(node_id, ())
 
 
 def load_trips(path) -> list[LogicalFormGraph]:
     """Load logical-form graphs, one per sentence, sorted by sentence index."""
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    graphs = []
-    for obj in data:
-        graphs.append(_parse_lf_obj(obj, str(path)))
-    _reject_duplicate_indices(graphs, path)
-    graphs.sort(key=lambda g: g.sentence_index)
-    return graphs
+    return _load_sentences(path, _parse_lf_obj)
 
 
-def _parse_lf_obj(obj: dict, source: str) -> LogicalFormGraph:
-    idx = as_int(require_key(obj, "sentence_index", source), source)
-    where = f"{source}: sentence {idx}"
+def _parse_lf_obj(obj: dict, idx: int) -> LogicalFormGraph:
     nodes = []
     ids = set()
-    node_where = f"{where}: node"
-    for n in as_list(obj.get("nodes", []), where):
-        nid = str(require_key(n, "id", node_where))
+    for n in as_list(obj.get("nodes", []), "nodes"):
+        nid = as_id(require_key(n, "id", "node"), "node id")
         if nid in ids:
-            raise SchemaError(f"{where}: duplicate node id {nid!r}")
+            raise SchemaError(f"duplicate node id {nid!r}")
         ids.add(nid)
         span = n.get("span")
-        this = f"{where}: node {nid}"
-        nodes.append(
-            LfNode(
+        try:
+            nodes.append(LfNode(
                 id=nid,
-                indicator=as_str(n.get("indicator", ""), f"{this}: indicator"),
-                onto_type=as_str(n.get("type", ""), f"{this}: type").upper(),
-                word=as_str(n.get("word", ""), f"{this}: word"),
-                span=as_span(span, this) if span is not None else None,
-            )
-        )
+                indicator=as_str(n.get("indicator", ""), "indicator"),
+                onto_type=as_str(n.get("type", ""), "type").upper(),
+                word=as_str(n.get("word", ""), "word"),
+                span=None if span is None else as_span(span, "span"),
+            ))
+        except SchemaError as exc:
+            raise SchemaError(f"node {nid}: {exc}") from None
     edges = []
-    edge_where = f"{where}: edge"
-    for e in as_list(obj.get("edges", []), where):
-        src = str(require_key(e, "src", edge_where))
-        label = str(require_key(e, "label", edge_where))
-        dst = str(require_key(e, "dst", edge_where))
-        for endpoint in (src, dst):
-            if endpoint not in ids:
-                raise SchemaError(f"{where}: edge references unknown node {endpoint!r}")
+    for e in as_list(obj.get("edges", []), "edges"):
+        src = as_id(require_key(e, "src", "edge"), "edge src")
+        label = as_str(require_key(e, "label", "edge"), "edge label")
+        dst = as_id(require_key(e, "dst", "edge"), "edge dst")
+        if src not in ids or dst not in ids:
+            raise SchemaError(f"edge references unknown node {dst if src in ids else src!r}")
         edges.append(LfEdge(src=src, label=label.upper(), dst=dst))
     root = obj.get("root")
-    if root is not None and str(root) not in ids:
-        raise SchemaError(f"{where}: root {root!r} is not a node")
-    return LogicalFormGraph(
-        sentence_index=idx,
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        root=str(root) if root is not None else None,
-    )
+    if root is not None:
+        root = as_id(root, "root")
+        if root not in ids:
+            raise SchemaError(f"root {root!r} is not a node")
+    return LogicalFormGraph(sentence_index=idx, nodes=tuple(nodes), edges=tuple(edges), root=root)
 
 
 # ---------------------------------------------------------------------------
@@ -173,49 +141,50 @@ class SrlDoc:
     sentence_index: int
     frames: tuple[SrlFrame, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "sentence_index": self.sentence_index,
-            "frames": [
-                {
-                    "predicate": {"span": list(f.predicate_span), "text": f.predicate_text},
-                    "args": [
-                        {"role": a.role, "span": list(a.span), "text": a.text} for a in f.args
-                    ],
-                }
-                for f in self.frames
-            ],
-        }
-
 
 def load_srl(path) -> list[SrlDoc]:
     """Load predicate-argument frame documents, sorted by sentence index."""
-    data = _read_json(path)
-    if isinstance(data, dict):
-        data = [data]
-    docs = []
-    for obj in data:
-        idx = as_int(require_key(obj, "sentence_index", str(path)), str(path))
-        where = f"{path}: sentence {idx}"
-        pred_where, arg_where = f"{where}: predicate", f"{where}: argument"
-        frames = []
-        for f in as_list(obj.get("frames", []), where):
-            pred = require_key(f, "predicate", f"{where}: frame")
-            pspan = as_span(require_key(pred, "span", pred_where), pred_where)
-            args = []
-            for a in as_list(f.get("args", []), where):
-                aspan = as_span(require_key(a, "span", arg_where), arg_where)
-                if spans_overlap(aspan, pspan):
-                    raise SchemaError(f"{where}: argument span {aspan} overlaps predicate {pspan}")
-                role = as_str(require_key(a, "role", arg_where), f"{arg_where} role").upper()
-                text = as_str(require_key(a, "text", arg_where), f"{arg_where} text")
-                args.append(SrlArg(role=role, span=aspan, text=text))
-            ptext = as_str(require_key(pred, "text", pred_where), f"{pred_where} text")
-            frames.append(SrlFrame(predicate_span=pspan, predicate_text=ptext, args=tuple(args)))
-        docs.append(SrlDoc(sentence_index=idx, frames=tuple(frames)))
-    _reject_duplicate_indices(docs, path)
-    docs.sort(key=lambda d: d.sentence_index)
-    return docs
+    return _load_sentences(path, _parse_srl_obj)
+
+
+def _parse_srl_obj(obj: dict, idx: int) -> SrlDoc:
+    frames = []
+    for f in as_list(obj.get("frames", []), "frames"):
+        pred = require_key(f, "predicate", "frame")
+        pspan = as_span(require_key(pred, "span", "predicate"), "predicate span")
+        args = []
+        for a in as_list(f.get("args", []), "args"):
+            aspan = as_span(require_key(a, "span", "argument"), "argument span")
+            if spans_overlap(aspan, pspan):
+                raise SchemaError(f"argument span {aspan} overlaps predicate {pspan}")
+            role = as_str(require_key(a, "role", "argument"), "argument role").upper()
+            text = as_str(require_key(a, "text", "argument"), "argument text")
+            args.append(SrlArg(role=role, span=aspan, text=text))
+        ptext = as_str(require_key(pred, "text", "predicate"), "predicate text")
+        frames.append(SrlFrame(predicate_span=pspan, predicate_text=ptext, args=tuple(args)))
+    return SrlDoc(sentence_index=idx, frames=tuple(frames))
+
+
+def _load_sentences(path, parse_obj) -> list:
+    """``parse_obj(record, sentence_index)`` of every record of a parse file,
+    sorted by sentence index.  A repeated index is rejected, and an error
+    names the file and, once its index is read, the sentence."""
+    source = str(path)
+    parses = []
+    seen: set[int] = set()
+    for obj in read_json_records(path, "parse file"):
+        idx = None
+        try:
+            idx = as_int(require_key(obj, "sentence_index", "sentence"), "sentence_index")
+            parses.append(parse_obj(obj, idx))
+        except SchemaError as exc:
+            where = source if idx is None else f"{source}: sentence {idx}"
+            raise SchemaError(f"{where}: {exc}") from None
+        if idx in seen:
+            raise SchemaError(f"{source}: duplicate sentence_index {idx}")
+        seen.add(idx)
+    parses.sort(key=lambda p: p.sentence_index)
+    return parses
 
 
 def parses_by_step(procedure, parses) -> dict:
@@ -225,24 +194,6 @@ def parses_by_step(procedure, parses) -> dict:
     if missing:
         raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")
     return by_index
-
-
-def _reject_duplicate_indices(parses, path) -> None:
-    seen: set[int] = set()
-    for parse in parses:
-        if parse.sentence_index in seen:
-            raise SchemaError(f"{path}: duplicate sentence_index {parse.sentence_index}")
-        seen.add(parse.sentence_index)
-
-
-def _read_json(path):
-    path = Path(path)
-    if not path.exists():
-        raise InputFileError(f"parse file not found: {path}")
-    try:
-        return json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,20 @@ def _break_parse(name, edit):
     return apply
 
 
+def _set_first_node_id(value):
+    """Give the first node a new id, in its edges and the root too."""
+    def edit(sentence):
+        old = sentence["nodes"][0]["id"]
+        sentence["nodes"][0]["id"] = value
+        for edge in sentence["edges"]:
+            for end in ("src", "dst"):
+                if edge[end] == old:
+                    edge[end] = value
+        if sentence.get("root") == old:
+            sentence["root"] = value
+    return edit
+
+
 class TestBuildGraphSchemaErrors:
     """Malformed input ends in exit 4 naming the file, and no output file."""
 
@@ -413,6 +427,19 @@ class TestBuildGraphSchemaErrors:
                                  lambda s: s["frames"][0]["args"][0].update(text=None))),
             ("srl", _break_parse("erosion-1.srl.json",
                                  lambda s: s["frames"][0]["predicate"].update(text=None))),
+            ("trips", _break_parse("erosion-1.trips.json", _set_first_node_id(None))),
+            ("trips", _break_parse("erosion-1.trips.json", _set_first_node_id(True))),
+            ("trips", _break_parse("erosion-1.trips.json", _set_first_node_id(1.5))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["edges"][0].update(label=None))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s["edges"][0].update(label=7))),
+            ("trips", _break_parse("erosion-1.trips.json",
+                                   lambda s: s.update(sentence_index=s["sentence_index"] + 0.5))),
+            ("trips", _break_parse("book-1.trips.json", lambda s: s.update(sentence_index=True))),
+            ("srl", _break_parse("erosion-1.srl.json",
+                                 lambda s: s.update(sentence_index=s["sentence_index"] + 0.5))),
+            ("srl", _break_parse("book-1.srl.json", lambda s: s.update(sentence_index=True))),
         ],
         ids=[
             "step-without-index", "non-integer-step-index", "non-string-step-text",
@@ -422,6 +449,9 @@ class TestBuildGraphSchemaErrors:
             "srl-without-sentence-index", "srl-span-of-three-integers",
             "null-word", "null-type", "integer-indicator",
             "srl-null-role", "srl-null-argument-text", "srl-null-predicate-text",
+            "null-node-id", "boolean-node-id", "float-node-id",
+            "null-edge-label", "integer-edge-label", "float-sentence-index",
+            "boolean-sentence-index", "srl-float-sentence-index", "srl-boolean-sentence-index",
         ],
     )
     def test_malformed_input_is_exit_4(self, data_dir, tmp_path, capsys, parser, breaker):
@@ -474,3 +504,89 @@ class TestBuildGraphSchemaErrors:
         assert code == 4
         assert "outside sentence" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestCorefSidecar:
+    @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
+    def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, capsys, entity):
+        sidecar = tmp_path / "coref.json"
+        sidecar.write_text(json.dumps(
+            [{"procedure_id": "p2", "mentions": [{"entity": entity, "step": 2, "span": [0, 1]}]}]
+        ))
+        out = tmp_path / "pred.tsv"
+        code = main([
+            "predict",
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(sidecar),
+            "--parses", str(data_dir / "parses"),
+            "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert f"{sidecar}: procedure p2: " in err and repr(entity) in err
+        assert not out.exists()
+
+
+class TestValuesThatSelectNothing:
+    """A flag value that would make the command do nothing is a usage error
+    (exit 2) naming the value, and no output file is written."""
+
+    def test_unknown_rule_in_rules_off(self, data_dir, tmp_path, capsys):
+        override = tmp_path / "off.txt"
+        override.write_text("move_affected\nmove_afected\n")
+        out = tmp_path / "pred.tsv"
+        assert main(_predict_args(data_dir, out, ["--rules-off", str(override)])) == 2
+        assert "'move_afected'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_qa_entity_that_no_procedure_has(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "qa.json"
+        code = main([
+            "build-graph",
+            "--corpus", str(data_dir / "corpus_predict.json"),
+            "--parses", str(data_dir / "parses"),
+            "--qa-entity", "book",
+            "--qa-entity", "unicorn",
+            "--output", str(out),
+        ])
+        assert code == 2
+        assert "'unicorn'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rounds", ["0", "-5"])
+    def test_gat_check_rounds_below_one(self, capsys, rounds):
+        with pytest.raises(SystemExit) as exc:
+            main(["gat-check", "--rounds", rounds])
+        assert exc.value.code == 2
+        assert f"--rounds: must be at least 1, got {rounds}" in capsys.readouterr().err
+
+
+def test_integer_node_ids_give_the_bytes_of_their_decimal_text(data_dir, tmp_path):
+    """Node ids (and edge ends and roots) given as JSON integers load as
+    their decimal text: every command writes what the string ids give."""
+    outputs = {}
+    for form in (int, str):
+        work = tmp_path / form.__name__
+        work.mkdir()
+        corpus, parses = _copy_inputs(data_dir, work)
+        for path in parses.glob("*.trips.json"):
+            sentences = json.loads(path.read_text())
+            for s in sentences:
+                ids = {n["id"]: form(k) for k, n in enumerate(s["nodes"], start=1)}
+                for n in s["nodes"]:
+                    n["id"] = ids[n["id"]]
+                for e in s["edges"]:
+                    e["src"], e["dst"] = ids[e["src"]], ids[e["dst"]]
+                if s.get("root") is not None:
+                    s["root"] = ids[s["root"]]
+            path.write_text(json.dumps(sentences))
+        for command in ("predict", "build-graph", "abstract"):
+            out = work / command
+            code = main([command, "--corpus", str(corpus), "--parses", str(parses),
+                         "--output", str(out)])
+            assert code == 0
+            outputs[form, command] = out.read_bytes()
+    assert '"id": 1,' in (tmp_path / "int" / "parses" / "book-1.trips.json").read_text()
+    for command in ("predict", "build-graph", "abstract"):
+        assert outputs[int, command] == outputs[str, command]
+    assert b'"s1.1"' in outputs[int, "build-graph"]

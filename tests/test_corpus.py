@@ -56,7 +56,7 @@ class TestLoading:
         pairs = load_procedures(_write_corpus(tmp_path, TWO_STEP))
         proc, grid = pairs[0]
         assert proc.num_steps == 2
-        assert len(grid.row("water")) == 3
+        assert len(grid.rows["water"]) == 3
         assert proc.steps[0].tokens == ("Water", "falls", ".")
 
     def test_ragged_grid_rejected(self, tmp_path):
@@ -74,7 +74,7 @@ class TestLoading:
         obj = json.loads(json.dumps(TWO_STEP))
         obj["gold_grid"]["water"] = ["The Sky", "soil", "?"]
         _, grid = load_procedures(_write_corpus(tmp_path, obj))[0]
-        assert grid.row("water")[0] == "sky"
+        assert grid.rows["water"][0] == "sky"
 
     def test_noncontiguous_steps_rejected(self, tmp_path):
         bad = json.loads(json.dumps(TWO_STEP))
@@ -92,7 +92,7 @@ class TestLoading:
         proc, grid = load_procedures(tmp_path, "propara-tsv")[0]
         assert proc.id == "7"
         assert proc.num_steps == 2
-        assert grid.row("water") == ["sky", "soil", "?"]
+        assert grid.rows["water"] == ["sky", "soil", "?"]
 
     def test_propara_tsv_inconsistent_chain(self, tmp_path):
         (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\t2\tAgain .\n")

@@ -231,15 +231,15 @@ class TestPredict:
         proc = next(p for p, _ in pairs if p.id == "book-1")
         graphs = load_trips(data_dir / "parses" / "book-1.trips.json")
         grid = predict(proc, graphs, *cfg)
-        assert grid.row("book") == ["shelf", "library"]
+        assert grid.rows["book"] == ["shelf", "library"]
 
     def test_erosion_pipeline(self, data_dir, cfg):
         pairs = load_procedures(data_dir / "corpus_predict.json")
         proc = next(p for p, _ in pairs if p.id == "erosion-1")
         graphs = load_trips(data_dir / "parses" / "erosion-1.trips.json")
         grid = predict(proc, graphs, *cfg)
-        assert grid.row("water") == ["hills", "riverbed", "riverbed", "riverbed"]
-        assert grid.row("rock") == ["?", "?", "valley", "-"]
+        assert grid.rows["water"] == ["hills", "riverbed", "riverbed", "riverbed"]
+        assert grid.rows["rock"] == ["?", "?", "valley", "-"]
 
     def test_unmentioned_entity_all_unknown(self, data_dir, cfg, tmp_path):
         obj = json.loads((data_dir / "corpus_predict.json").read_text())
@@ -251,7 +251,7 @@ class TestPredict:
         proc, _ = load_procedures(path)[0]
         graphs = load_trips(data_dir / "parses" / "erosion-1.trips.json")
         grid = predict(proc, graphs, *cfg)
-        assert grid.row("ghost") == ["?", "?", "?", "?"]
+        assert grid.rows["ghost"] == ["?", "?", "?", "?"]
 
     def test_change_sentence_splits_entities(self, tmp_path, cfg):
         corpus = [
@@ -283,8 +283,8 @@ class TestPredict:
         ppath.write_text(json.dumps(parse))
         proc, _ = load_procedures(cpath)[0]
         grid = predict(proc, load_trips(ppath), *cfg)
-        assert grid.row("magma") == ["?", "-"]
-        assert grid.row("lava") == ["-", "?"]
+        assert grid.rows["magma"] == ["?", "-"]
+        assert grid.rows["lava"] == ["-", "?"]
 
     def test_missing_parse_raises(self, data_dir, cfg):
         pairs = load_procedures(data_dir / "corpus_predict.json")
