@@ -9,6 +9,7 @@ an event; they come out separately as passive location facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .corpus import normalize
 from .parses import (
@@ -36,7 +37,7 @@ class ArgRef:
     span: tuple[int, int] | None
     node_id: str
 
-    @property
+    @cached_property
     def norm(self) -> str:
         return normalize(self.text)
 
@@ -96,6 +97,16 @@ def default_role_synonyms(path=None) -> RoleSynonyms:
     return RoleSynonyms.from_file(_config_path("role_synonyms.tsv", path))
 
 
+def frame_nodes(graph: LogicalFormGraph, ontology: Ontology, class_map: ActionClassMap):
+    """Yield (node, action class) for every node that makes an event frame:
+    a predicate node whose type resolves to a class other than OTHER."""
+    for node in graph.nodes:
+        if node.is_predicate:
+            cls = ontology_class(node.onto_type, ontology, class_map)
+            if cls is not ActionClass.OTHER:
+                yield node, cls
+
+
 def abstract_events(
     graph: LogicalFormGraph,
     ontology: Ontology,
@@ -104,57 +115,55 @@ def abstract_events(
 ) -> tuple[list[EventFrame], list[PassiveLocationFact]]:
     """Extract event frames and passive location facts from one parse.
 
-    One frame is produced per predicate node whose type resolves to a
-    tracked action class; predicate nodes resolving to OTHER are skipped.
-    Location-category edges on a frame go to to_loc/from_loc (on destroy
-    frames every attached location counts as the from side); all other
-    edges land in the role map under their canonical label.  Locative
-    edges hanging off non-predicate nodes become passive facts.
+    One frame is produced per node that ``frame_nodes`` yields; predicate
+    nodes resolving to OTHER are skipped.  Location-category edges on a
+    frame go to to_loc/from_loc (on destroy frames every attached location
+    counts as the from side); all other edges land in the role map under
+    their canonical label.  Locative edges hanging off non-predicate nodes
+    become passive facts.
     """
     frames: list[EventFrame] = []
+    for node, cls in frame_nodes(graph, ontology, class_map):
+        frame = EventFrame(
+            step_index=graph.sentence_index,
+            predicate_word=node.word,
+            onto_type=node.onto_type,
+            action_class=cls,
+            node_id=node.id,
+        )
+        for edge in graph.out_edges(node.id):
+            target = graph.node(edge.dst)
+            arg = ArgRef(text=target.word, span=target.span, node_id=target.id)
+            category = synonyms.canonical(edge.label)
+            if cls is ActionClass.DESTROY and category in _LOCATION_CATEGORIES:
+                if frame.from_loc is None:
+                    frame.from_loc = arg
+            elif category == TO_LOC:
+                if frame.to_loc is None:
+                    frame.to_loc = arg
+            elif category == FROM_LOC:
+                if frame.from_loc is None:
+                    frame.from_loc = arg
+            else:
+                frame.roles.setdefault(category, arg)
+        frames.append(frame)
     facts: list[PassiveLocationFact] = []
     for node in graph.nodes:
         if node.is_predicate:
-            cls = ontology_class(node.onto_type, ontology, class_map)
-            if cls is ActionClass.OTHER:
+            continue
+        for edge in graph.out_edges(node.id):
+            if synonyms.canonical(edge.label) != LOCATION:
                 continue
-            frame = EventFrame(
-                step_index=graph.sentence_index,
-                predicate_word=node.word,
-                onto_type=node.onto_type,
-                action_class=cls,
-                node_id=node.id,
-            )
-            for edge in graph.out_edges(node.id):
-                target = graph.node(edge.dst)
-                arg = ArgRef(text=target.word, span=target.span, node_id=target.id)
-                category = synonyms.canonical(edge.label)
-                if cls is ActionClass.DESTROY and category in _LOCATION_CATEGORIES:
-                    if frame.from_loc is None:
-                        frame.from_loc = arg
-                elif category == TO_LOC:
-                    if frame.to_loc is None:
-                        frame.to_loc = arg
-                elif category == FROM_LOC:
-                    if frame.from_loc is None:
-                        frame.from_loc = arg
-                else:
-                    frame.roles.setdefault(category, arg)
-            frames.append(frame)
-        else:
-            for edge in graph.out_edges(node.id):
-                if synonyms.canonical(edge.label) != LOCATION:
-                    continue
-                target = graph.node(edge.dst)
-                if target.is_predicate or not target.word:
-                    continue
-                holder = ArgRef(text=node.word, span=node.span, node_id=node.id)
-                location = ArgRef(text=target.word, span=target.span, node_id=target.id)
-                if holder.norm == location.norm:
-                    continue
-                facts.append(
-                    PassiveLocationFact(
-                        step_index=graph.sentence_index, holder=holder, location=location
-                    )
+            target = graph.node(edge.dst)
+            if target.is_predicate or not target.word:
+                continue
+            holder = ArgRef(text=node.word, span=node.span, node_id=node.id)
+            location = ArgRef(text=target.word, span=target.span, node_id=target.id)
+            if holder.norm == location.norm:
+                continue
+            facts.append(
+                PassiveLocationFact(
+                    step_index=graph.sentence_index, holder=holder, location=location
                 )
+            )
     return frames, facts

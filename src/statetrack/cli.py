@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--parses", default=None, help="parse dir (needed for the decision tier)")
     ev.add_argument("--ontology", default=None)
     ev.add_argument("--classes", default=None)
-    ev.add_argument("--roles", default=None)
     ev.add_argument("--output", default=None, help="write the report here instead of stdout")
     ev.add_argument("--format", choices=["json", "table"], default="json")
     ev.set_defaults(func=cmd_evaluate)

@@ -20,8 +20,9 @@ the decision tier normalizes each step's tokens once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from .abstraction import frame_nodes
 from .corpus import (
     NONEXISTENT,
     UNKNOWN,
@@ -34,7 +35,7 @@ from .corpus import (
     transition,
 )
 from .errors import SchemaError
-from .parses import ActionClass, ontology_class, parses_by_step
+from .parses import parses_by_step
 
 EVENT_KINDS = ("created", "destroyed", "moved")
 
@@ -87,16 +88,6 @@ class SentenceScores:
     macro_avg: float
     micro_avg: float
     counts: dict[str, tuple[int, int]]  # category -> (credits, questions)
-
-    def to_dict(self) -> dict:
-        return {
-            "cat1": self.cat1,
-            "cat2": self.cat2,
-            "cat3": self.cat3,
-            "macro_avg": self.macro_avg,
-            "micro_avg": self.micro_avg,
-            "counts": {k: list(v) for k, v in self.counts.items()},
-        }
 
 
 def eval_sentence_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> SentenceScores:
@@ -161,16 +152,6 @@ class CriterionScore:
     gold: int
     matched: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "predicted": self.predicted,
-            "gold": self.gold,
-            "matched": self.matched,
-        }
-
 
 @dataclass
 class DocumentScores:
@@ -178,14 +159,6 @@ class DocumentScores:
     avg_precision: float
     avg_recall: float
     avg_f1: float
-
-    def to_dict(self) -> dict:
-        return {
-            "criteria": {k: v.to_dict() for k, v in self.criteria.items()},
-            "avg_precision": self.avg_precision,
-            "avg_recall": self.avg_recall,
-            "avg_f1": self.avg_f1,
-        }
 
 
 def eval_document_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> DocumentScores:
@@ -307,17 +280,12 @@ def _location_mentioned(location: str, tokens: list[str]) -> bool:
 
 
 def _action_verb_counts(proc: Procedure, lf_graphs, ontology, class_map) -> dict[int, int]:
-    counts = {}
+    """Per step, the number of parse nodes that make an event frame."""
     by_index = parses_by_step(proc, lf_graphs or [])
-    for step in proc.steps:
-        lf = by_index[step.index]
-        counts[step.index] = sum(
-            1
-            for node in lf.nodes
-            if node.is_predicate
-            and ontology_class(node.onto_type, ontology, class_map) is not ActionClass.OTHER
-        )
-    return counts
+    return {
+        step.index: sum(1 for _ in frame_nodes(by_index[step.index], ontology, class_map))
+        for step in proc.steps
+    }
 
 
 @dataclass
@@ -328,28 +296,12 @@ class CategoryScore:
     action_support: int
     location_support: int
 
-    def to_dict(self) -> dict:
-        return {
-            "action_acc": self.action_acc,
-            "location_acc": self.location_acc,
-            "both_acc": self.both_acc,
-            "action_support": self.action_support,
-            "location_support": self.location_support,
-        }
-
 
 @dataclass
 class DecisionScores:
     categories: dict[str, CategoryScore]
     ambiguous_action_acc: float | None
     ambiguous_support: int
-
-    def to_dict(self) -> dict:
-        return {
-            "categories": {k: v.to_dict() for k, v in self.categories.items()},
-            "ambiguous_action_acc": self.ambiguous_action_acc,
-            "ambiguous_support": self.ambiguous_support,
-        }
 
 
 def eval_decision_level(
@@ -411,11 +363,7 @@ class MetricReport:
     decision: DecisionScores | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "sentence": self.sentence.to_dict() if self.sentence else None,
-            "document": self.document.to_dict() if self.document else None,
-            "decision": self.decision.to_dict() if self.decision else None,
-        }
+        return asdict(self)
 
     def render_table(self) -> str:
         lines = []

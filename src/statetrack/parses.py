@@ -210,19 +210,6 @@ class Ontology:
         pairs = _read_pairs_tsv(path, "ontology file", ("child", "parent"))
         return cls({child: parent for _, child, parent in pairs})
 
-    def ancestors(self, onto_type: str):
-        """Yield the type, then each ancestor walking up; error on a cycle."""
-        seen = set()
-        current = onto_type.upper()
-        while True:
-            if current in seen:
-                raise SchemaError(f"ontology cycle detected at {current!r}")
-            seen.add(current)
-            yield current
-            if current not in self.parents:
-                return
-            current = self.parents[current]
-
 
 class ActionClassMap:
     def __init__(self, entries: dict[str, ActionClass]):
@@ -244,12 +231,19 @@ def ontology_class(onto_type: str, ontology: Ontology, class_map: ActionClassMap
     """Resolve a type to its action class via the nearest mapped ancestor.
 
     A direct entry wins; otherwise the walk goes strictly upward through the
-    parent chain; a type with no mapped ancestor is OTHER.
+    parent chain; a type with no mapped ancestor is OTHER.  A walk that
+    comes back to a type it has passed is an ontology cycle (SchemaError).
     """
-    for ancestor in ontology.ancestors(onto_type):
-        if ancestor in class_map.entries:
-            return class_map.entries[ancestor]
-    return ActionClass.OTHER
+    seen = set()
+    current = onto_type.upper()
+    while current not in class_map.entries:
+        seen.add(current)
+        current = ontology.parents.get(current)
+        if current is None:
+            return ActionClass.OTHER
+        if current in seen:
+            raise SchemaError(f"ontology cycle detected at {current!r}")
+    return class_map.entries[current]
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@ action sequence and location row per entity.
 
 ``predict`` passes over a procedure's steps once, filing every local
 decision and passive location fact under the entity it concerns as it is
-made; each entity's timeline is then settled on its own.  Two forward
-passes (action fixing, then location resolution) follow the local
-decisions in step order; a final reconciliation derives the action
-sequence back from the replayed location row so that the exported actions
-and the exported grid can never disagree.
+made; each entity's timeline is then settled on its own by two forward
+passes in step order.  ``fix_actions`` keeps the first decision of a step
+and rewrites repeated creates and destroys.  ``resolve_locations`` then
+locates every cell from these sources, in this order: the frame arguments
+the decisions carry; a same-step passive fact for a missing from side; the
+first from-location no later than the first move as the initial cell; the
+next from-location, or an idle step's passive fact, as a missing move
+target; "?" for any target still missing; and, while the row is replayed,
+an idle step's passive fact for a carried "?".  A final reconciliation
+derives the action sequence back from the replayed row, so that the
+exported actions and the exported grid can never disagree.
 """
 
 from __future__ import annotations
@@ -38,9 +44,6 @@ class EntityTimeline:
     num_steps: int
     slots: dict[int, list[LocalDecision]]
     passive: list[PassiveLocationFact]
-
-    def passive_locations(self, step_index: int) -> list[str]:
-        return [f.location.norm for f in self.passive if f.step_index == step_index]
 
 
 @dataclass
@@ -92,10 +95,7 @@ def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[
                 continue
             current = StepAction(Action.MOVE, from_loc=last_loc, to_loc=current.to_loc)
         elif last_action is Action.DESTROY and current.action is Action.DESTROY:
-            if _same_loc(cur_loc, last_loc):
-                fixed.append(StepAction(Action.NONE))
-                continue
-            if strict_destroy:
+            if strict_destroy or _same_loc(cur_loc, last_loc):
                 fixed.append(StepAction(Action.NONE))
                 continue
             current = StepAction(Action.MOVE, from_loc=last_loc, to_loc=cur_loc)
@@ -124,98 +124,86 @@ def _same_loc(a: str | None, b: str | None) -> bool:
 def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> FixedSequence:
     """Fill in locations for a fixed action sequence.
 
-    Passive facts at a step where the entity acts supply a missing from
-    side; a never-created entity starts at the first from location seen no
-    later than its first move, otherwise unknown; a created entity starts
-    nonexistent.  Targetless moves take the first subsequent from location
-    before the next move, else "?".  At no-action steps the previous
-    location carries over, with passive facts filling in unknowns.
+    The sources, in the order they are applied (a location an action
+    already carries from its frame argument is never overwritten):
+
+    1. A step's first passive fact supplies the from side of an action at
+       that step that has none.
+    2. The initial location is nonexistent if the entity is ever created;
+       otherwise it is the first from-location seen no later than the first
+       move, or "?" when the scan meets that move (or the end) first.
+    3. A targetless move takes the next from-location, or a passive fact at
+       an idle step, before the next move; otherwise "?".  A targetless
+       create gets "?".
+    4. While the row is replayed, an idle step carries the previous cell; a
+       carried "?" takes that step's first passive fact, which also fills
+       the "?" cells it was carried from, back to the action (its target
+       takes the fill) or the initial cell that started the stretch.
     """
     m = timeline.num_steps
     acts = list(actions)
+    passive: dict[int, str] = {}
+    for fact in timeline.passive:
+        passive.setdefault(fact.step_index, fact.location.norm)
 
-    # Promote same-step passive facts into missing from-locations.
     for t in range(1, m + 1):
         a = acts[t - 1]
-        if a.action is not Action.NONE and a.from_loc is None:
-            passive = timeline.passive_locations(t)
-            if passive:
-                acts[t - 1] = replace(a, from_loc=passive[0])
+        if a.action is not Action.NONE and a.from_loc is None and t in passive:
+            acts[t - 1] = replace(a, from_loc=passive[t])
 
-    # Pre-process location.
+    initial = UNKNOWN
     if any(a.action is Action.CREATE for a in acts):
         initial = NONEXISTENT
     else:
-        initial = UNKNOWN
-        first_move = next(
-            (t for t in range(1, m + 1) if acts[t - 1].action is Action.MOVE), None
-        )
-        for t in range(1, m + 1):
-            if first_move is not None and t > first_move:
+        for a in acts[:m]:
+            if a.from_loc is not None:
+                initial = a.from_loc
                 break
-            if acts[t - 1].from_loc is not None:
-                initial = acts[t - 1].from_loc
+            if a.action is Action.MOVE:
                 break
 
-    # Targets for moves that lack one: first later from-location (or a
-    # passive fact at an idle step) before the next move.
     for t in range(1, m + 1):
         a = acts[t - 1]
-        if a.action is not Action.MOVE or a.to_loc is not None:
+        if a.action not in (Action.CREATE, Action.MOVE) or a.to_loc is not None:
             continue
-        target = None
-        for u in range(t + 1, m + 1):
-            nxt = acts[u - 1]
-            if nxt.action is Action.MOVE:
-                break
-            if nxt.from_loc is not None:
-                target = nxt.from_loc
-                break
-            if nxt.action is Action.NONE:
-                passive = timeline.passive_locations(u)
-                if passive:
-                    target = passive[0]
+        target = UNKNOWN
+        if a.action is Action.MOVE:
+            for u in range(t + 1, m + 1):
+                nxt = acts[u - 1]
+                if nxt.action is Action.MOVE:
                     break
-        acts[t - 1] = replace(a, to_loc=target if target is not None else UNKNOWN)
+                if nxt.from_loc is not None:
+                    target = nxt.from_loc
+                    break
+                if nxt.action is Action.NONE and u in passive:
+                    target = passive[u]
+                    break
+        acts[t - 1] = replace(a, to_loc=target)
 
-    # Remaining moves/creates with no target become "?" so every action is
-    # fully located before replay.
-    for t in range(1, m + 1):
-        a = acts[t - 1]
-        if a.action in (Action.MOVE, Action.CREATE) and a.to_loc is None:
-            acts[t - 1] = replace(a, to_loc=UNKNOWN)
-
-    # Passive facts at idle steps fill carried unknowns while replaying.
-    # Nothing happened over the idle stretch, so the fill extends backwards
-    # through the contiguous unknown cells it was carried from; an
-    # unknown-target create or move at the head of the stretch absorbs the
-    # fill as its target.
     row = [initial]
     for t in range(1, m + 1):
         a = acts[t - 1]
-        if a.action is Action.CREATE:
+        if a.action in (Action.CREATE, Action.MOVE):
             row.append(a.to_loc)
         elif a.action is Action.DESTROY:
             row.append(NONEXISTENT)
-        elif a.action is Action.MOVE:
-            row.append(a.to_loc)
+        elif row[-1] == UNKNOWN and t in passive:
+            # Nothing happened over the idle stretch, so the entity was
+            # already where the fact places it.
+            fill = passive[t]
+            i = t - 1
+            while row[i] == UNKNOWN:
+                row[i] = fill
+                if i == 0:
+                    break
+                entering = acts[i - 1]
+                if entering.action is not Action.NONE:
+                    acts[i - 1] = replace(entering, to_loc=fill)
+                    break
+                i -= 1
+            row.append(fill)
         else:
-            cur = row[-1]
-            if cur == UNKNOWN:
-                passive = timeline.passive_locations(t)
-                if passive:
-                    cur = passive[0]
-                    i = t - 1
-                    while i >= 0 and row[i] == UNKNOWN:
-                        row[i] = cur
-                        if i == 0:
-                            break
-                        entering = acts[i - 1]
-                        if entering.action is not Action.NONE:
-                            acts[i - 1] = replace(entering, to_loc=cur)
-                            break
-                        i -= 1
-            row.append(cur)
+            row.append(row[-1])
     return FixedSequence(actions=acts, initial_location=row[0], row=row)
 
 

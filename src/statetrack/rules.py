@@ -51,9 +51,8 @@ def match_argument(arg: ArgRef, entity: Entity, step_index: int | None = None) -
     """
     norm = arg.norm
     head = norm.split(" ")[-1] if norm else ""
-    for alias in entity.aliases:
-        if norm == alias or head == alias:
-            return True
+    if norm in entity.aliases or head in entity.aliases:
+        return True
     if step_index is not None and arg.span is not None:
         for span in entity.coref_spans(step_index):
             if spans_overlap(arg.span, span):

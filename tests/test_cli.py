@@ -187,6 +187,18 @@ class TestEvaluate:
         ])
         assert code == 2
 
+    def test_roles_is_a_usage_error(self, data_dir, tmp_path, capsys):
+        # No tier reads role synonyms, so evaluate takes no --roles file.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "evaluate",
+                "--pred", str(data_dir / "pred_seeded.tsv"),
+                "--corpus", str(data_dir / "corpus_small.json"),
+                "--roles", str(tmp_path / "roles.tsv"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --roles" in capsys.readouterr().err
+
     def test_duplicate_tsv_entity_is_exit_4(self, data_dir, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

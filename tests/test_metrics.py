@@ -111,7 +111,7 @@ class TestDocumentLevel:
         renamed_pred = {f"x-{pid}": g for pid, g in seeded_pred.items()}
         renamed_gold = {f"x-{pid}": g for pid, g in gold.items()}
         renamed = eval_document_level(renamed_pred, renamed_gold)
-        assert renamed.to_dict() == base.to_dict()
+        assert renamed == base
 
     def test_seeded_fixture_matches_hand_sheet(self, seeded_pred, small_corpus, hand_sheet):
         _, gold = small_corpus
@@ -464,14 +464,11 @@ def test_tiers_match_the_pre_transition_reference():
     seen = Counter()
     for _ in range(200):
         procedures, gold, pred, parses = _random_case(rng)
-        assert eval_sentence_level(pred, gold).to_dict() == _ref_sentence(pred, gold).to_dict()
-        assert eval_document_level(pred, gold).to_dict() == _ref_document(pred, gold).to_dict()
+        assert eval_sentence_level(pred, gold) == _ref_sentence(pred, gold)
+        assert eval_document_level(pred, gold) == _ref_document(pred, gold)
         categories = categorize_decisions(gold, procedures, parses, ontology, class_map)
         assert categories == _ref_categorize(gold, procedures, parses, ontology, class_map)
-        assert (
-            eval_decision_level(pred, gold, categories).to_dict()
-            == _ref_decision(pred, gold, categories).to_dict()
-        )
+        assert eval_decision_level(pred, gold, categories) == _ref_decision(pred, gold, categories)
         seen["conversions"] += len(_ref_conversion_set(gold))
         seen["ambiguous"] += sum(c.ambiguous for c in categories.values())
         seen.update(c.name for c in categories.values())

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,9 +15,18 @@ from statetrack.corpus import (
     Step,
     StepAction,
     derive_actions,
+    grids_from_action_tsv,
     load_procedures,
+    transition,
+    write_action_tsv,
 )
 from statetrack.errors import SchemaError
+from statetrack.metrics import (
+    categorize_decisions,
+    eval_decision_level,
+    eval_document_level,
+    eval_sentence_level,
+)
 from statetrack.parses import (
     LfEdge,
     LfNode,
@@ -28,6 +38,7 @@ from statetrack.parses import (
 from statetrack.reasoning import (
     EntityTimeline,
     fix_actions,
+    grid_to_action_rows,
     predict,
     resolve_locations,
 )
@@ -421,6 +432,43 @@ def test_predict_matches_the_per_entity_grouping(data_dir, small_corpus, cfg):
                 seen["passive"] += bool(holders)
                 seen["shared"] += len(holders) > 1
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_exported_actions_and_grids_agree_end_to_end(cfg, tmp_path):
+    """Random procedures through predict and the action TSV: the file reads
+    back as the predicted grids, every exported action is the transition of
+    its two cells, and the predictions score 100 against themselves."""
+    rng = random.Random(17)
+    procedures, parses, grids, rows = [], {}, {}, []
+    for k in range(200):
+        proc, graphs = _random_procedure(rng, f"r{k}")
+        grid = predict(proc, graphs, *cfg)
+        procedures.append(proc)
+        parses[proc.id] = graphs
+        grids[proc.id] = grid
+        rows += grid_to_action_rows(grid, [e.canonical_name for e in proc.entities])
+    path = tmp_path / "pred.tsv"
+    write_action_tsv(path, rows)
+
+    assert grids_from_action_tsv(path) == grids
+    actions = Counter()
+    for line in path.read_text().splitlines():
+        _, _, _, action, before, after = line.split("\t")
+        assert action == transition(before, after).value, line
+        actions[action] += 1
+    assert all(actions[a.value] > 0 for a in Action), actions
+
+    sentence = eval_sentence_level(grids, grids)
+    assert (sentence.cat1, sentence.cat2, sentence.cat3) == (100.0, 100.0, 100.0)
+    assert sentence.macro_avg == sentence.micro_avg == 100.0
+    document = eval_document_level(grids, grids)
+    assert all(c.f1 == 100.0 for c in document.criteria.values())
+    assert document.avg_f1 == 100.0
+    categories = categorize_decisions(grids, procedures, parses, cfg[0], cfg[1])
+    decision = eval_decision_level(grids, grids, categories)
+    for score in decision.categories.values():
+        assert {score.action_acc, score.location_acc, score.both_acc} <= {None, 100.0}
+    assert decision.ambiguous_action_acc in (None, 100.0)
 
 
 class TestConsistency:
