@@ -5,8 +5,9 @@ event frames), build-graph (export semantic graphs, optionally extended
 with question nodes), evaluate (run the scoring tiers), and gat-check
 (run the attention-layer invariant suite).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 missing input
-file, 4 schema or validation error.
+Exit codes: 0 success, 2 usage or configuration error, 3 missing or
+unreadable input file, or an output that cannot be written, 4 schema or
+validation error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputFileError, FileNotFoundError) as exc:
+    except InputFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except SchemaError as exc:
@@ -163,15 +164,11 @@ def cmd_predict(args) -> int:
     ontology, class_map, synonyms = _load_configs(args)
     disabled = frozenset()
     if args.rules_off:
-        path = Path(args.rules_off)
-        if not path.exists():
-            raise InputFileError(f"rule override file not found: {path}")
-        disabled = frozenset(
-            line.strip() for line in path.read_text().splitlines() if line.strip()
-        )
+        text = corpus_mod.read_input(args.rules_off, "rule override file")
+        disabled = frozenset(line.strip() for line in text.splitlines() if line.strip())
         unknown = sorted(disabled.difference(RULE_NAMES))
         if unknown:
-            raise ConfigError(f"{path}: unknown rule(s) {', '.join(map(repr, unknown))};"
+            raise ConfigError(f"{args.rules_off}: unknown rule(s) {', '.join(map(repr, unknown))};"
                               f" known rules: {', '.join(RULE_NAMES)}")
     payloads = [
         (
@@ -283,7 +280,7 @@ def cmd_evaluate(args) -> int:
     else:
         rendered = report.render_table()
     if args.output:
-        Path(args.output).write_text(rendered)
+        corpus_mod.write_output(args.output, [rendered])
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
@@ -304,7 +301,7 @@ def cmd_gat_check(args) -> int:
 
 
 def _write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    corpus_mod.write_output(path, [json.dumps(obj, indent=2), "\n"])
 
 
 if __name__ == "__main__":

@@ -298,27 +298,75 @@ def load_procedures(path, fmt: str = "json") -> list[tuple[Procedure, StateGrid]
     """
     if fmt == "json":
         source = str(path)
-        return [_parse_procedure_obj(obj, source) for obj in read_json_records(path, "corpus path")]
+        pairs = [_parse_procedure_obj(obj, source) for obj in read_json_records(path, "corpus path")]
+        first: dict[str, int] = {}
+        for k, (proc, _) in enumerate(pairs):
+            if first.setdefault(proc.id, k) != k:
+                raise SchemaError(f"{source}: duplicate procedure id {proc.id!r}")
+        return pairs
     if fmt == "propara-tsv":
         return _load_propara_tsv(Path(path))
     raise ValueError(f"unknown corpus format {fmt!r}")
 
 
-def read_json_records(path, what: str) -> list:
-    """The records of a JSON input file: its top-level array, or a top-level
-    object as a one-item list.  A missing file is an InputFileError
-    ``"{what} not found: {path}"``; text that is not JSON, or whose top
-    level is neither, is a SchemaError."""
-    path = Path(path)
+def read_input(path, what: str) -> str:
+    """The text of an input file, decoded as UTF-8 whatever the locale.  A
+    missing file is an InputFileError ``"{what} not found: {path}"`` and any
+    other failure to read it (a directory, no permission) an InputFileError
+    ``"{what} unreadable: ..."``; bytes that are not UTF-8 are a SchemaError
+    naming the file.  Every input file is read here."""
     try:
-        raw = path.read_bytes()
+        raw = Path(path).read_bytes()
     except FileNotFoundError:
         raise InputFileError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise InputFileError(f"{what} unreadable: {path}: {exc.strerror}") from None
     try:
-        data = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, not JSON, or a number past int's digit limit
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8: {exc}") from None
+
+
+def read_tsv(path, what: str, columns: tuple[str, ...], comments: bool = False):
+    """(line number, fields) of every non-blank line of a tab-separated
+    input file.  A line with another field count is a SchemaError
+    ``file:line: expected N columns (names), got K``.  ``comments`` also
+    skips lines that start with "#": configuration files have them, while
+    in a data file such a line is a row."""
+    for lineno, line in enumerate(read_input(path, what).splitlines(), start=1):
+        if not line.strip() or (comments and line.startswith("#")):
+            continue
+        fields = line.split("\t")
+        if len(fields) != len(columns):
+            raise SchemaError(f"{path}:{lineno}: expected {len(columns)} columns"
+                              f" ({', '.join(columns)}), got {len(fields)}")
+        yield lineno, fields
+
+
+def write_output(path, parts) -> None:
+    """Write the strings ``parts`` to an output file, opened once, as UTF-8
+    whatever the locale.  A file that cannot be opened or written is an
+    InputFileError ``"cannot write {path}: ..."``; text that UTF-8 cannot
+    encode (an unpaired surrogate, which a JSON ``\\ud800`` escape gives) is a
+    SchemaError, and the file is removed.  Every output file is written here."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            for part in parts:
+                out.write(part)
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc.strerror}") from None
+    except UnicodeEncodeError as exc:
+        Path(path).unlink()
+        raise SchemaError(f"cannot write {path}: {exc}") from None
+
+
+def read_json_records(path, what: str) -> list:
+    """The records of a JSON input file (``read_input``): its top-level
+    array, or a top-level object as a one-item list.  Text that is not
+    JSON, or whose top level is neither, is a SchemaError."""
+    try:
+        data = json.loads(read_input(path, what))
+    except ValueError as exc:  # not JSON, or a number past int's digit limit
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     return [data] if type(data) is dict else as_list(data, str(path))
 
@@ -389,30 +437,21 @@ def _procedure_and_grid(
 
 
 def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
-    if not path.exists():
-        raise InputFileError(f"corpus path not found: {path}")
-    if not path.is_dir():
-        raise InputFileError(f"propara-tsv format expects a directory, got {path}")
     para_file = path / "paragraphs.tsv"
     grid_file = path / "grids.tsv"
-    for f in (para_file, grid_file):
-        if not f.exists():
-            raise InputFileError(f"missing required file: {f}")
-
     sentences: dict[str, dict[int, str]] = {}
-    for lineno, line in enumerate(para_file.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise SchemaError(f"{para_file}:{lineno}: expected 3 columns, got {len(parts)}")
-        pid, idx, text = parts
-        sentences.setdefault(pid, {})[as_int(idx, f"{para_file}:{lineno}")] = text
+    for lineno, (pid, idx, text) in read_tsv(
+        para_file, "paragraph file", ("id", "sentence index", "sentence")
+    ):
+        t = as_int(idx, f"{para_file}:{lineno}")
+        sent_map = sentences.setdefault(pid, {})
+        if t in sent_map:
+            raise SchemaError(f"{para_file}:{lineno}: duplicate sentence {t} of paragraph {pid}")
+        sent_map[t] = text
 
     raw = read_action_tsv(grid_file)
     out = []
-    for pid in sentences:
-        sent_map = sentences[pid]
+    for pid, sent_map in sentences.items():
         m = max(sent_map)
         if sorted(sent_map) != list(range(1, m + 1)):
             raise SchemaError(f"{para_file}: paragraph {pid}: sentence indices not contiguous")
@@ -431,8 +470,8 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
                     f"{grid_file}: paragraph {pid}: duplicate entity {ent.canonical_name!r}"
                 )
             entities.append(ent)
-            row = _assemble_row(per_step, m, f"{grid_file}: paragraph {pid}, entity {raw_name!r}")
-            rows[ent.canonical_name] = [normalize(c) for c in row]
+            where = f"{grid_file}: paragraph {pid}, entity {raw_name!r}"
+            rows[ent.canonical_name] = _assemble_row(per_step, m, where)
         proc = Procedure(id=pid, steps=steps, entities=tuple(entities))
         out.append((proc, StateGrid(procedure_id=pid, rows=rows)))
     extra = set(raw) - set(sentences)
@@ -505,17 +544,10 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
 
 def read_action_tsv(path) -> dict[str, dict[str, dict[int, tuple[str, str]]]]:
     """Parse an action TSV into {procedure: {entity: {step: (before, after)}}}."""
-    path = Path(path)
-    if not path.exists():
-        raise InputFileError(f"action file not found: {path}")
     out: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 6:
-            raise SchemaError(f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        pid, step, entity, action, before, after = parts
+    for lineno, (pid, step, entity, action, before, after) in read_tsv(
+        path, "action file", ("id", "step", "entity", "action", "before", "after")
+    ):
         if action not in Action.__members__:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
         t = as_int(step, f"{path}:{lineno}")
@@ -541,4 +573,4 @@ def grids_from_action_tsv(path) -> dict[str, StateGrid]:
 
 def write_action_tsv(path, rows: list[tuple[str, int, str, str, str, str]]) -> None:
     lines = ["\t".join([r[0], str(r[1]), r[2], r[3], r[4], r[5]]) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_output(path, ["\n".join(lines), "\n"])

@@ -14,7 +14,8 @@ class ConfigError(StateTrackError):
 
 
 class InputFileError(StateTrackError):
-    """A referenced input file is missing or unreadable."""
+    """A referenced input file is missing or unreadable, or an output file
+    cannot be written."""
 
 
 class SchemaError(StateTrackError):

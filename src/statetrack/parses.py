@@ -15,9 +15,10 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import (
-    as_id, as_int, as_list, as_span, as_str, read_json_records, require_key, spans_overlap,
+    as_id, as_int, as_list, as_span, as_str, read_json_records, read_tsv, require_key,
+    spans_overlap,
 )
-from .errors import InputFileError, SchemaError
+from .errors import SchemaError
 
 CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
 
@@ -254,18 +255,10 @@ def _read_pairs_tsv(path, what: str, columns: tuple[str, str]) -> list[tuple[int
     """(line number, key, value) for every two-column line of a config TSV,
     upper-cased; blank and "#" lines are skipped and a repeated key is
     rejected rather than silently overriding the earlier line."""
-    path = Path(path)
-    if not path.exists():
-        raise InputFileError(f"{what} not found: {path}")
     out = []
     seen: set[str] = set()
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise SchemaError(f"{path}:{lineno}: expected '{columns[0]}<TAB>{columns[1]}'")
-        key, value = (p.strip().upper() for p in parts)
+    for lineno, fields in read_tsv(path, what, columns, comments=True):
+        key, value = (f.strip().upper() for f in fields)
         if key in seen:
             raise SchemaError(f"{path}:{lineno}: duplicate {columns[0]} {key!r}")
         seen.add(key)

@@ -31,6 +31,7 @@ from .corpus import (
     StateGrid,
     StepAction,
     derive_actions,
+    transition,
 )
 from .parses import parses_by_step
 from .rules import LocalDecision, apply_rules, match_argument
@@ -259,9 +260,7 @@ def grid_to_action_rows(grid: StateGrid, entity_order: list[str] | None = None):
     out = []
     for name in names:
         row = grid.rows[name]
-        actions = derive_actions(row)
         for t in range(1, len(row)):
-            out.append(
-                (grid.procedure_id, t, name, actions[t - 1].action.value, row[t - 1], row[t])
-            )
+            before, after = row[t - 1], row[t]
+            out.append((grid.procedure_id, t, name, transition(before, after).value, before, after))
     return out

@@ -40,6 +40,7 @@ from .corpus import (
     find_mentions,
     normalize,
     spans_overlap,
+    write_output,
 )
 from .errors import SchemaError
 from .parses import LogicalFormGraph, SrlDoc, parses_by_step
@@ -177,17 +178,11 @@ def render_graph_record(procedure_id: str, entity: str | None, graph: SemanticGr
 
 
 def write_graph_records(path, records: list[str]) -> None:
-    """Write rendered records as graphs.json, one write per record."""
-    with open(path, "w") as out:
-        if not records:
-            out.write("[]\n")
-            return
-        out.write("[\n")
-        for k, record in enumerate(records):
-            if k:
-                out.write(_ITEM_SEP)
-            out.write(record)
-        out.write("\n]\n")
+    """Write rendered records as graphs.json, one write per record: the
+    records are interleaved with their separators, never joined."""
+    seps = ["[\n"] + [_ITEM_SEP] * (len(records) - 1)
+    parts = [part for pair in zip(seps, records) for part in pair]
+    write_output(path, parts + ["\n]\n"] if records else ["[]\n"])
 
 
 def _step_mentions(procedure: Procedure) -> StepMentions:

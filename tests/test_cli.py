@@ -518,6 +518,146 @@ class TestBuildGraphSchemaErrors:
         assert not out.exists()
 
 
+PROPARA_BOOK = (
+    "book-1\t1\tMove the book in the shelf to the library .\n",
+    "book-1\t1\tbook\tMOVE\tshelf\tlibrary\n",
+)
+
+
+def _probe(data_dir, tmp_path, target):
+    """Valid copies of every text input, and the command line that reads
+    ``target`` (a flag, or a file of a propara-tsv corpus) from them."""
+    config = SRC / "statetrack" / "data"
+    files = {
+        "--pred": tmp_path / "pred.tsv",
+        "--rules-off": tmp_path / "off.txt",
+        "--ontology": tmp_path / "ontology.tsv",
+        "--classes": tmp_path / "action_classes.tsv",
+        "--roles": tmp_path / "role_synonyms.tsv",
+        "paragraphs.tsv": tmp_path / "propara" / "paragraphs.tsv",
+        "grids.tsv": tmp_path / "propara" / "grids.tsv",
+    }
+    files["--pred"].write_bytes((data_dir / "golden" / "predictions.tsv").read_bytes())
+    files["--rules-off"].write_text("destroy_affected\n")
+    for flag in ("--ontology", "--classes", "--roles"):
+        files[flag].write_bytes((config / files[flag].name).read_bytes())
+    files["paragraphs.tsv"].parent.mkdir()
+    files["paragraphs.tsv"].write_text(PROPARA_BOOK[0])
+    files["grids.tsv"].write_text(PROPARA_BOOK[1])
+    out = str(tmp_path / "out")
+    if target == "--pred":
+        argv = ["evaluate", "--pred", str(files["--pred"]),
+                "--corpus", str(data_dir / "corpus_predict.json"), "--tier", "sentence",
+                "--output", out]
+    elif target.startswith("--"):
+        argv = [*_predict_args(data_dir, out), target, str(files[target])]
+    else:
+        argv = _predict_args(data_dir, out)
+        argv[2:3] = [str(files["paragraphs.tsv"].parent), "--corpus-format", "propara-tsv"]
+    return files[target], argv
+
+
+PROBED_INPUTS = ["--pred", "--rules-off", "--ontology", "--classes", "--roles",
+                 "paragraphs.tsv", "grids.tsv"]
+
+
+class TestUnreadableFiles:
+    """Every input is read, and every output written, as UTF-8 through one
+    reader and one writer: an input that is a directory exits 3, one that
+    is not UTF-8 exits 4, and an output that cannot be written exits 3.
+    Each names the file, prints no traceback and leaves no output file."""
+
+    @pytest.mark.parametrize("target", PROBED_INPUTS)
+    def test_directory_input_is_exit_3(self, data_dir, tmp_path, capsys, target):
+        path, argv = _probe(data_dir, tmp_path, target)
+        path.unlink()
+        path.mkdir()
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: Is a directory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("target", PROBED_INPUTS)
+    def test_non_utf8_input_is_exit_4(self, data_dir, tmp_path, capsys, target):
+        path, argv = _probe(data_dir, tmp_path, target)
+        path.write_bytes(b"caf\xe9\n" + path.read_bytes())
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8: ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "abstract", "build-graph", "evaluate"])
+    def test_directory_output_is_exit_3(self, data_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "evaluate":
+            argv = ["evaluate", "--pred", str(data_dir / "golden" / "predictions.tsv"),
+                    "--corpus", str(data_dir / "corpus_predict.json"), "--tier", "sentence",
+                    "--output", str(out)]
+        else:
+            argv = [command, *_predict_args(data_dir, out)[1:]]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Is a directory\n"
+        assert out.is_dir() and not any(out.iterdir())
+
+    def test_unpaired_surrogate_in_an_output_is_exit_4(self, data_dir, tmp_path, capsys):
+        """A JSON ``\\ud800`` escape decodes to text that UTF-8 cannot encode."""
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        book = parses / "book-1.trips.json"
+        book.write_text(book.read_text().replace('"word": "library"', '"word": "\\ud800"'))
+        out = tmp_path / "pred.tsv"
+        code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
+                     "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith(f"error: cannot write {out}: ") and "surrogates" in err
+        assert not out.exists()
+
+
+def test_files_are_utf8_whatever_the_locale(data_dir, tmp_path):
+    """Under an ASCII locale, predict and evaluate read and write UTF-8 and
+    give the bytes of a UTF-8-mode run, on parses whose locations are not
+    ASCII."""
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    for path in (corpus, parses / "book-1.trips.json"):
+        path.write_text(path.read_text().replace("library", "café"), encoding="utf-8")
+    outputs = {}
+    for mode, locale in (("utf8=0", {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}),
+                         ("utf8=1", {})):
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "LC_ALL")}
+        env.update(locale, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")])))
+        work = tmp_path / mode
+        work.mkdir()
+        pred, report = work / "pred.tsv", work / "report.json"
+        for argv in (
+            ["predict", "--corpus", str(corpus), "--parses", str(parses), "--output", str(pred)],
+            ["evaluate", "--pred", str(pred), "--corpus", str(corpus), "--parses", str(parses),
+             "--output", str(report)],
+        ):
+            result = subprocess.run([sys.executable, "-X", mode, "-m", "statetrack.cli", *argv],
+                                    env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            assert "Traceback" not in result.stderr
+        outputs[mode] = pred.read_bytes(), report.read_bytes()
+    assert outputs["utf8=0"] == outputs["utf8=1"]
+    assert "book-1\t1\tbook\tMOVE\tshelf\tcafé\n".encode() in outputs["utf8=0"][0]
+
+
+@pytest.mark.parametrize("command", ["predict", "build-graph"])
+def test_repeated_procedure_id_is_exit_4(data_dir, tmp_path, capsys, command):
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    procedures = json.loads(corpus.read_text())
+    corpus.write_text(json.dumps(procedures + procedures[:1]))
+    out = tmp_path / "out"
+    code = main([command, "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: {corpus}: duplicate procedure id 'book-1'\n"
+    assert not out.exists()
+
+
 class TestCorefSidecar:
     @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
     def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, capsys, entity):

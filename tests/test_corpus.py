@@ -15,6 +15,7 @@ from statetrack.corpus import (
     load_procedures,
     make_entity,
     normalize,
+    read_action_tsv,
     spans_overlap,
     tokenize,
 )
@@ -116,6 +117,34 @@ class TestLoading:
         with pytest.raises(SchemaError, match=r"paragraphs\.tsv:2: expected an integer, got 'x'"):
             load_procedures(tmp_path, "propara-tsv")
 
+
+    def test_propara_tsv_repeated_sentence_index(self, tmp_path):
+        (tmp_path / "paragraphs.tsv").write_text(
+            "p1\t1\tWater flows into the river .\np1\t1\tRocks fall .\n"
+        )
+        (tmp_path / "grids.tsv").write_text("p1\t1\twater\tMOVE\tsky\triver\n")
+        with pytest.raises(SchemaError, match=r"paragraphs\.tsv:2: duplicate sentence 1 of paragraph p1"):
+            load_procedures(tmp_path, "propara-tsv")
+
+    def test_repeated_procedure_id(self, tmp_path):
+        path = _write_corpus(tmp_path, [TWO_STEP, {**TWO_STEP, "entities": ["water; liquid"]}])
+        with pytest.raises(SchemaError, match=f"{path}: duplicate procedure id 't1'"):
+            load_procedures(path)
+
+    def test_action_tsv_field_count_names_the_columns(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        path.write_text("7\t1\twater\tMOVE\tsky\tsoil\n7\t2\twater\tMOVE\tsoil\n")
+        with pytest.raises(SchemaError, match=(
+            r"pred\.tsv:2: expected 6 columns \(id, step, entity, action, before, after\), got 5"
+        )):
+            read_action_tsv(path)
+
+    def test_action_tsv_hash_line_is_a_row(self, tmp_path):
+        """Only configuration files have comment lines: in an action TSV a
+        line that starts with "#" is a row, not skipped."""
+        path = tmp_path / "pred.tsv"
+        path.write_text("#7\t1\twater\tMOVE\tsky\tsoil\n")
+        assert read_action_tsv(path) == {"#7": {"water": {1: ("sky", "soil")}}}
 
 class TestDeriveActions:
     def test_create_then_destroy(self):
