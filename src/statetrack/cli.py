@@ -13,6 +13,7 @@ validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from . import corpus as corpus_mod
 from . import metrics, reasoning, semgraph
 from .abstraction import abstract_events, default_role_synonyms
 from .errors import ConfigError, InputFileError, SchemaError
-from .parses import default_class_map, default_ontology, load_srl, load_trips
+from .parses import default_class_map, default_ontology, load_srl, load_trips, parses_by_step
 from .rules import RULE_NAMES
 
 EXIT_OK = 0
@@ -146,15 +147,14 @@ def _load_configs(args):
     return ontology, class_map, synonyms
 
 
-def _predict_one(payload):
-    procedure, parse_path, ontology, class_map, synonyms, disabled, strict = payload
-    graphs = load_trips(parse_path)
+def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, strict, procedure):
+    """The action rows of one procedure; bound to the run's settings with
+    ``functools.partial``, so a worker pool pickles them once per chunk."""
     grid = reasoning.predict(
-        procedure, graphs, ontology, class_map, synonyms,
-        disabled_rules=disabled, strict_destroy=strict,
+        procedure, load_trips(_parse_file(parse_dir, procedure.id, "trips")),
+        ontology, class_map, synonyms, disabled_rules=disabled, strict_destroy=strict,
     )
-    order = [e.canonical_name for e in procedure.entities]
-    return reasoning.grid_to_action_rows(grid, order)
+    return reasoning.grid_to_action_rows(grid, [e.canonical_name for e in procedure.entities])
 
 
 def cmd_predict(args) -> int:
@@ -170,25 +170,16 @@ def cmd_predict(args) -> int:
         if unknown:
             raise ConfigError(f"{args.rules_off}: unknown rule(s) {', '.join(map(repr, unknown))};"
                               f" known rules: {', '.join(RULE_NAMES)}")
-    payloads = [
-        (
-            proc,
-            _parse_file(args.parses, proc.id, "trips"),
-            ontology,
-            class_map,
-            synonyms,
-            disabled,
-            args.strict_destroy,
-        )
-        for proc in procedures
-    ]
+    worker = functools.partial(_predict_procedure, args.parses, ontology, class_map, synonyms,
+                               disabled, args.strict_destroy)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
+        chunksize = max(1, -(-len(procedures) // (4 * args.jobs)))  # about 4 chunks a worker
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            per_proc = list(pool.map(_predict_one, payloads))
+            per_proc = list(pool.map(worker, procedures, chunksize=chunksize))
     else:
-        per_proc = [_predict_one(p) for p in payloads]
+        per_proc = list(map(worker, procedures))
     rows = [row for chunk in per_proc for row in chunk]
     if args.format == "tsv":
         corpus_mod.write_action_tsv(args.output, rows)
@@ -209,13 +200,13 @@ def cmd_abstract(args) -> int:
     ontology, class_map, synonyms = _load_configs(args)
     out = []
     for proc in procedures:
-        graphs = load_trips(_parse_file(args.parses, proc.id, "trips"))
-        for graph in graphs:
-            frames, facts = abstract_events(graph, ontology, class_map, synonyms)
+        by_index = parses_by_step(proc, load_trips(_parse_file(args.parses, proc.id, "trips")))
+        for step in proc.steps:
+            frames, facts = abstract_events(by_index[step.index], ontology, class_map, synonyms)
             out.append(
                 {
                     "procedure": proc.id,
-                    "step": graph.sentence_index,
+                    "step": step.index,
                     "frames": [f.to_dict() for f in frames],
                     "passive": [f.to_dict() for f in facts],
                 }

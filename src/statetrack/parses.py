@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .corpus import (
@@ -189,11 +188,16 @@ def _load_sentences(path, parse_obj) -> list:
 
 
 def parses_by_step(procedure, parses) -> dict:
-    """A procedure's parses keyed by sentence index; every step must have one."""
+    """A procedure's parses keyed by sentence index: every step must have
+    one, and every parse must be of a step."""
     by_index = {p.sentence_index: p for p in parses}
-    missing = [s.index for s in procedure.steps if s.index not in by_index]
+    steps = {s.index for s in procedure.steps}
+    missing = sorted(steps - by_index.keys())
     if missing:
         raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")
+    extra = sorted(by_index.keys() - steps)
+    if extra:
+        raise SchemaError(f"procedure {procedure.id}: no step for parsed sentence(s) {extra}")
     return by_index
 
 
@@ -272,8 +276,7 @@ def _config_path(name: str, override) -> Path:
     env_dir = os.environ.get(CONFIG_DIR_ENV)
     if env_dir:
         return Path(env_dir) / name
-    with resources.as_file(resources.files("statetrack").joinpath("data", name)) as p:
-        return Path(p)
+    return Path(__file__).parent / "data" / name
 
 
 def default_ontology(path=None) -> Ontology:

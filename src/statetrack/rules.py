@@ -1,17 +1,13 @@
 """Turn event frames into local per-entity decisions.
 
-The rule table, applied in order, first match per frame and role:
+``RULE_TABLE`` maps each frame class to groups of (rule, role, action).
+Every group of a frame is tried; in a group the first rule whose role the
+frame has fires, and a disabled rule fires nothing (the next rule of its
+group is not tried).  So a change frame destroys its AFFECTED and creates
+its RES (or RESULT), or does the half whose role it has.  The action picks
+the frame locations: a create takes the target, a destroy any location of
+the frame, a move both ends.
 
-    rule name              frame class  roles required   decision
-    ---------------------  -----------  ---------------  --------------------------
-    move_affected          MOVE         AFFECTED         AFFECTED moves
-    move_agent             MOVE         AGENT only       AGENT moves
-    destroy_affected       DESTROY      AFFECTED         AFFECTED destroyed
-    create_affected_result CREATE       AFFECTED_RESULT  AFFECTED_RESULT created
-    create_affected        CREATE       AFFECTED         AFFECTED created
-    change_affected_res    CHANGE       AFFECTED, RES    AFFECTED destroyed, RES created
-
-A change frame missing one of its two roles degrades to the half it has.
 Conflicting decisions for one entity at one step are all kept, in frame
 order; global reasoning resolves them later.
 """
@@ -24,14 +20,28 @@ from .abstraction import ArgRef, EventFrame
 from .corpus import Action, Entity, Step, StepAction, spans_overlap
 from .parses import ActionClass
 
-RULE_NAMES = (
-    "move_affected",
-    "move_agent",
-    "destroy_affected",
-    "create_affected_result",
-    "create_affected",
-    "change_affected_res",
-)
+RULE_TABLE: dict[ActionClass, tuple[tuple[tuple[str, str, Action], ...], ...]] = {
+    ActionClass.MOVE: (
+        (("move_affected", "AFFECTED", Action.MOVE),
+         ("move_agent", "AGENT", Action.MOVE)),
+    ),
+    ActionClass.DESTROY: (
+        (("destroy_affected", "AFFECTED", Action.DESTROY),),
+    ),
+    ActionClass.CREATE: (
+        (("create_affected_result", "AFFECTED_RESULT", Action.CREATE),
+         ("create_affected", "AFFECTED", Action.CREATE)),
+    ),
+    ActionClass.CHANGE: (
+        (("change_affected_res", "AFFECTED", Action.DESTROY),),
+        (("change_affected_res", "RES", Action.CREATE),
+         ("change_affected_res", "RESULT", Action.CREATE)),
+    ),
+}
+
+RULE_NAMES = tuple(dict.fromkeys(
+    rule for groups in RULE_TABLE.values() for group in groups for rule, _, _ in group
+))
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,7 @@ def match_argument(arg: ArgRef, entity: Entity, step_index: int | None = None) -
 
 
 def _loc(ref: ArgRef | None) -> str | None:
-    if ref is None:
-        return None
-    norm = ref.norm
-    return norm if norm else None
+    return (ref.norm or None) if ref is not None else None
 
 
 def apply_rules(
@@ -75,67 +82,45 @@ def apply_rules(
 ) -> list[LocalDecision]:
     """Apply the rule table to every frame of one step.
 
-    A decision is only emitted when the chosen role filler matches one of
-    the tracked entities.  Unknown rule names in ``disabled`` are ignored.
+    A rule that fires decides for the first tracked entity its role filler
+    matches, at most once per (frame, entity).  Unknown rule names in
+    ``disabled`` are ignored.
     """
     decisions: list[LocalDecision] = []
     decided: set[tuple[str, str]] = set()  # (frame node, entity name) pairs
-
-    def emit(rule: str, frame: EventFrame, arg: ArgRef, action: Action,
-             from_loc: str | None = None, to_loc: str | None = None) -> None:
-        if rule in disabled:
-            return
-        for entity in entities:
-            # at most one decision per (entity, frame)
-            key = (frame.node_id, entity.canonical_name)
-            if key in decided:
-                continue
-            if match_argument(arg, entity, step.index):
-                decided.add(key)
-                decisions.append(
-                    LocalDecision(
-                        step_index=step.index,
-                        entity=entity,
-                        action=StepAction(action, from_loc=from_loc, to_loc=to_loc),
-                        rule=rule,
-                        frame_node=frame.node_id,
-                    )
-                )
-                return  # one decision per (frame, role)
-
     for frame in frames:
         if frame.step_index != step.index:
             raise ValueError(
                 f"frame at step {frame.step_index} passed with step {step.index}"
             )
         roles = frame.roles
-        if frame.action_class is ActionClass.MOVE:
-            if "AFFECTED" in roles:
-                emit("move_affected", frame, roles["AFFECTED"], Action.MOVE,
-                     from_loc=_loc(frame.from_loc), to_loc=_loc(frame.to_loc))
-            elif "AGENT" in roles:
-                emit("move_agent", frame, roles["AGENT"], Action.MOVE,
-                     from_loc=_loc(frame.from_loc), to_loc=_loc(frame.to_loc))
-        elif frame.action_class is ActionClass.DESTROY:
-            if "AFFECTED" in roles:
-                emit("destroy_affected", frame, roles["AFFECTED"], Action.DESTROY,
-                     from_loc=_frame_any_location(frame))
-        elif frame.action_class is ActionClass.CREATE:
-            if "AFFECTED_RESULT" in roles:
-                emit("create_affected_result", frame, roles["AFFECTED_RESULT"],
-                     Action.CREATE, to_loc=_loc(frame.to_loc))
-            elif "AFFECTED" in roles:
-                emit("create_affected", frame, roles["AFFECTED"], Action.CREATE,
-                     to_loc=_loc(frame.to_loc))
-        elif frame.action_class is ActionClass.CHANGE:
-            if "AFFECTED" in roles:
-                emit("change_affected_res", frame, roles["AFFECTED"], Action.DESTROY,
-                     from_loc=_frame_any_location(frame))
-            res = roles.get("RES") or roles.get("RESULT")
-            if res is not None:
-                emit("change_affected_res", frame, res, Action.CREATE,
-                     to_loc=_loc(frame.to_loc))
+        for group in RULE_TABLE.get(frame.action_class, ()):
+            fired = next(((rule, roles[role], action) for rule, role, action in group
+                          if role in roles), None)
+            if fired is None or fired[0] in disabled:
+                continue
+            rule, arg, action = fired
+            for entity in entities:
+                key = (frame.node_id, entity.canonical_name)
+                if key not in decided and match_argument(arg, entity, step.index):
+                    decided.add(key)
+                    decisions.append(LocalDecision(
+                        step_index=step.index,
+                        entity=entity,
+                        action=_step_action(action, frame),
+                        rule=rule,
+                        frame_node=frame.node_id,
+                    ))
+                    break
     return decisions
+
+
+def _step_action(action: Action, frame: EventFrame) -> StepAction:
+    if action is Action.CREATE:
+        return StepAction(action, to_loc=_loc(frame.to_loc))
+    if action is Action.DESTROY:
+        return StepAction(action, from_loc=_frame_any_location(frame))
+    return StepAction(action, from_loc=_loc(frame.from_loc), to_loc=_loc(frame.to_loc))
 
 
 def _frame_any_location(frame: EventFrame) -> str | None:

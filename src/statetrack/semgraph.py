@@ -81,21 +81,21 @@ class SemanticGraph:
 
     nodes: list[GNode] = field(default_factory=list)
     edges: list[GEdge] = field(default_factory=list)
-    _by_id: dict[str, GNode] = field(init=False, repr=False, compare=False)
+    _ids: set[str] = field(init=False, repr=False, compare=False)
     _edge_set: set[GEdge] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_id = {}
+        self._ids = set()
         for node in self.nodes:
-            if node.id in self._by_id:
+            if node.id in self._ids:
                 raise ValueError(f"duplicate node id {node.id!r}")
-            self._by_id[node.id] = node
+            self._ids.add(node.id)
         self._edge_set = set(self.edges)
 
     def add_node(self, node: GNode) -> None:
-        if node.id in self._by_id:
+        if node.id in self._ids:
             raise ValueError(f"duplicate node id {node.id!r}")
-        self._by_id[node.id] = node
+        self._ids.add(node.id)
         self.nodes.append(node)
 
     def add_edge(self, src: str, dst: str, type_label: str) -> None:
@@ -105,9 +105,6 @@ class SemanticGraph:
         if edge not in self._edge_set:
             self._edge_set.add(edge)
             self.edges.append(edge)
-
-    def node(self, node_id: str) -> GNode:
-        return self._by_id[node_id]
 
     def to_dict(self) -> dict:
         return {

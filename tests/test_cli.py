@@ -48,6 +48,20 @@ class TestPredict:
         assert main(_predict_args(data_dir, parallel, ["--jobs", "2"])) == 0
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_jobs_with_fewer_procedures_than_workers(self, data_dir, tmp_path, count):
+        corpus = tmp_path / "corpus.json"
+        procedures = json.loads((data_dir / "corpus_predict.json").read_text())
+        corpus.write_text(json.dumps(procedures[:count]))
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"pred{jobs}.tsv"
+            args = _predict_args(data_dir, out, ["--jobs", jobs])
+            args[2] = str(corpus)
+            assert main(args) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0]
+
     def test_json_format(self, data_dir, tmp_path):
         out = tmp_path / "pred.json"
         assert main(_predict_args(data_dir, out, ["--format", "json"])) == 0
@@ -742,3 +756,45 @@ def test_integer_node_ids_give_the_bytes_of_their_decimal_text(data_dir, tmp_pat
     for command in ("predict", "build-graph", "abstract"):
         assert outputs[int, command] == outputs[str, command]
     assert b'"s1.1"' in outputs[int, "build-graph"]
+
+
+def _drop_step_2(sentences):
+    return [s for s in sentences if s["sentence_index"] != 2]
+
+
+def _add_sentence_99(sentences):
+    return sentences + [dict(sentences[0], sentence_index=99)]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_step_2, "no parse for step(s) [2]"),
+        (_add_sentence_99, "no step for parsed sentence(s) [99]"),
+    ],
+    ids=["missing-step", "sentence-of-no-step"],
+)
+@pytest.mark.parametrize(
+    "kind, command",
+    [
+        ("trips", ["predict"]),
+        ("trips", ["abstract"]),
+        ("trips", ["build-graph"]),
+        ("srl", ["build-graph", "--parser", "srl"]),
+        ("trips", ["evaluate", "--tier", "decision", "--pred", "PRED"]),
+    ],
+    ids=["predict", "abstract", "build-graph", "build-graph-srl", "evaluate-decision"],
+)
+def test_parses_must_cover_exactly_the_steps(data_dir, tmp_path, capsys, kind, command, edit,
+                                             message):
+    """Every parse consumer names a step without a parse, and a parsed
+    sentence that is not a step, in one wording (exit 4, no output)."""
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    path = parses / f"erosion-1.{kind}.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = tmp_path / "out"
+    argv = [str(data_dir / "golden" / "predictions.tsv") if a == "PRED" else a for a in command]
+    code = main([*argv, "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == f"error: procedure erosion-1: {message}\n"
+    assert not out.exists()

@@ -3,7 +3,7 @@ import random
 from statetrack.abstraction import ArgRef, EventFrame
 from statetrack.corpus import Action, Entity, Step, tokenize
 from statetrack.parses import ActionClass
-from statetrack.rules import apply_rules, match_argument
+from statetrack.rules import RULE_NAMES, apply_rules, match_argument
 
 
 def _step(index=1, text="Something happens ."):
@@ -28,6 +28,17 @@ def _ent(name):
 
 
 class TestRuleTable:
+    def test_rule_names_in_table_order(self):
+        # --rules-off names these, and the benchmark counts firings by them
+        assert RULE_NAMES == (
+            "move_affected",
+            "move_agent",
+            "destroy_affected",
+            "create_affected_result",
+            "create_affected",
+            "change_affected_res",
+        )
+
     def test_move_affected_over_agent(self):
         frame = _frame(ActionClass.MOVE, {"AGENT": "water", "AFFECTED": "rocks"})
         decisions = apply_rules([frame], [_ent("rocks"), _ent("water")], _step())

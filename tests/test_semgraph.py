@@ -113,13 +113,6 @@ class TestSemanticGraph:
         assert [(e.src, e.dst) for e in copy.edges] == [("a", "b"), ("b", "a")]
         assert len(base.edges) == 1
 
-    def test_node_lookup(self):
-        graph = SemanticGraph()
-        graph.add_node(GNode("a", "noun_phrase", 1, (0, 1), "a"))
-        assert graph.node("a").text == "a"
-        with pytest.raises(KeyError):
-            graph.node("b")
-
 
 class TestShortestLabels:
     def test_single_source_matches_pairwise_search(self):
@@ -167,7 +160,8 @@ class TestSrlGraph:
         assert kinds["Move"] == "predicate"
         assert kinds["the book"] == "entity_mention"
         assert kinds["the library"] == "noun_phrase"
-        pairs = {(graph.node(e.src).text, graph.node(e.dst).text) for e in graph.edges}
+        text = {n.id: n.text for n in graph.nodes}
+        pairs = {(text[e.src], text[e.dst]) for e in graph.edges}
         assert pairs == {
             ("Move", "the book"),
             ("Move", "the library"),
@@ -495,7 +489,7 @@ class TestQaExtension:
         extended = extend_qa_graph(graph, proc.entities[0], proc)
         q_edges = [e for e in extended.edges if e.type_label == "QUESTION"]
         assert len(q_edges) == 2  # book in steps 1 and 2
-        assert extended.node("question").text == "where is book"
+        assert {n.id: n.text for n in extended.nodes}["question"] == "where is book"
 
     def test_adds_steps_plus_one_nodes(self):
         proc, graph = self._base()
