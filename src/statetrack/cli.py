@@ -71,7 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_corpus_args(abstract)
     _add_parse_args(abstract)
     abstract.add_argument("--output", required=True)
-    abstract.add_argument("--format", choices=["json"], default="json")
     abstract.set_defaults(func=cmd_abstract)
 
     graph = sub.add_parser("build-graph", help="export semantic graphs as JSON")
@@ -79,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     graph.add_argument("--parses", required=True, help="directory of per-procedure parse files")
     graph.add_argument("--parser", choices=["trips", "srl"], default="trips")
     graph.add_argument("--output", required=True)
-    graph.add_argument("--format", choices=["json"], default="json")
     graph.add_argument("--qa-entity", action="append", default=[],
                        help="extend with a question node for this entity (repeatable)")
     graph.set_defaults(func=cmd_build_graph)
@@ -121,7 +119,6 @@ def _add_corpus_args(cmd) -> None:
 
 def _add_parse_args(cmd) -> None:
     cmd.add_argument("--parses", required=True, help="directory of per-procedure parse files")
-    cmd.add_argument("--parser", choices=["trips", "srl"], default="trips")
     cmd.add_argument("--ontology", default=None)
     cmd.add_argument("--classes", default=None)
     cmd.add_argument("--roles", default=None)
@@ -158,8 +155,6 @@ def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, stric
 
 
 def cmd_predict(args) -> int:
-    if args.parser != "trips":
-        raise ConfigError("predict requires logical-form parses (--parser trips)")
     procedures, _ = _load_corpus(args)
     ontology, class_map, synonyms = _load_configs(args)
     disabled = frozenset()
@@ -194,8 +189,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_abstract(args) -> int:
-    if args.parser != "trips":
-        raise ConfigError("abstract requires logical-form parses (--parser trips)")
     procedures, _ = _load_corpus(args)
     ontology, class_map, synonyms = _load_configs(args)
     out = []

@@ -437,6 +437,8 @@ def _procedure_and_grid(
 
 
 def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
+    """The TSV layout only: each paragraph's sentences and its grid rows go
+    through ``_procedure_and_grid``, the rules of the JSON corpus."""
     para_file = path / "paragraphs.tsv"
     grid_file = path / "grids.tsv"
     sentences: dict[str, dict[int, str]] = {}
@@ -448,48 +450,25 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
         if t in sent_map:
             raise SchemaError(f"{para_file}:{lineno}: duplicate sentence {t} of paragraph {pid}")
         sent_map[t] = text
+    for pid, sent_map in sentences.items():
+        if sorted(sent_map) != list(range(1, len(sent_map) + 1)):
+            raise SchemaError(f"{para_file}: paragraph {pid}: sentence indices not contiguous")
 
-    raw = read_action_tsv(grid_file)
+    grids = grids_from_action_tsv(grid_file)
     out = []
     for pid, sent_map in sentences.items():
-        m = max(sent_map)
-        if sorted(sent_map) != list(range(1, m + 1)):
-            raise SchemaError(f"{para_file}: paragraph {pid}: sentence indices not contiguous")
-        steps = tuple(
-            Step(index=i, text=sent_map[i], tokens=tuple(tokenize(sent_map[i])))
-            for i in range(1, m + 1)
-        )
-        if pid not in raw:
+        if pid not in grids:
             raise SchemaError(f"{grid_file}: no grid rows for paragraph {pid}")
-        entities = []
-        rows = {}
-        for raw_name, per_step in raw[pid].items():
-            ent = make_entity(raw_name)
-            if ent.canonical_name in rows:
-                raise SchemaError(
-                    f"{grid_file}: paragraph {pid}: duplicate entity {ent.canonical_name!r}"
-                )
-            entities.append(ent)
-            where = f"{grid_file}: paragraph {pid}, entity {raw_name!r}"
-            rows[ent.canonical_name] = _assemble_row(per_step, m, where)
-        proc = Procedure(id=pid, steps=steps, entities=tuple(entities))
-        out.append((proc, StateGrid(procedure_id=pid, rows=rows)))
-    extra = set(raw) - set(sentences)
+        steps = [{"index": t, "text": text} for t, text in sorted(sent_map.items())]
+        rows = grids[pid].rows
+        try:
+            out.append(_procedure_and_grid(pid, steps, list(rows), rows))
+        except SchemaError as exc:
+            raise SchemaError(f"{grid_file}: paragraph {pid}: {exc}") from None
+    extra = set(grids) - set(sentences)
     if extra:
         raise SchemaError(f"{grid_file}: grid rows for unknown paragraph(s) {sorted(extra)}")
     return out
-
-
-def _assemble_row(per_step: dict[int, tuple[str, str]], m: int, where: str) -> list[str]:
-    if sorted(per_step) != list(range(1, m + 1)):
-        raise SchemaError(f"{where}: expected {m + 1} cells, steps 1..{m} present, got {sorted(per_step)}")
-    row = [per_step[1][0]]
-    for t in range(1, m + 1):
-        before, after = per_step[t]
-        if t > 1 and before != row[-1]:
-            raise SchemaError(f"{where}: step {t} before-location {before!r} != prior after-location {row[-1]!r}")
-        row.append(after)
-    return row
 
 
 def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
@@ -542,35 +521,43 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
 # Action-file interchange (the six-column TSV shared by prediction and
 # evaluation: id, step, entity, action, before location, after location)
 
-def read_action_tsv(path) -> dict[str, dict[str, dict[int, tuple[str, str]]]]:
-    """Parse an action TSV into {procedure: {entity: {step: (before, after)}}}."""
-    out: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
+def grids_from_action_tsv(path) -> dict[str, StateGrid]:
+    """Read an action TSV into one StateGrid per procedure.  This is the one
+    place where action rows become a grid row: each (procedure, entity)
+    has steps 1..m once each, and every before-location equals the prior
+    after-location.  Locations are normalized; entity names are kept as
+    written."""
+    per_entity: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
     for lineno, (pid, step, entity, action, before, after) in read_tsv(
         path, "action file", ("id", "step", "entity", "action", "before", "after")
     ):
         if action not in Action.__members__:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
         t = as_int(step, f"{path}:{lineno}")
-        per_step = out.setdefault(pid, {}).setdefault(entity, {})
+        per_step = per_entity.setdefault(pid, {}).setdefault(entity, {})
         if t in per_step:
             raise SchemaError(f"{path}:{lineno}: duplicate row for ({pid}, {entity}, step {t})")
         per_step[t] = (normalize(before), normalize(after))
-    return out
-
-
-def grids_from_action_tsv(path) -> dict[str, StateGrid]:
-    """Read an action TSV and assemble one StateGrid per procedure."""
-    raw = read_action_tsv(path)
     grids = {}
-    for pid, per_entity in raw.items():
+    for pid, entities in per_entity.items():
         rows = {}
-        for name, per_step in per_entity.items():
-            m = max(per_step)
-            rows[name] = _assemble_row(per_step, m, f"{path}: {pid}/{name}")
+        for name, per_step in entities.items():
+            where, m = f"{path}: {pid}/{name}", max(per_step)
+            if sorted(per_step) != list(range(1, m + 1)):
+                raise SchemaError(f"{where}: expected {m + 1} cells, steps 1..{m} present,"
+                                  f" got {sorted(per_step)}")
+            row = [per_step[1][0]]
+            for t in range(1, m + 1):
+                before, after = per_step[t]
+                if before != row[-1]:
+                    raise SchemaError(f"{where}: step {t} before-location {before!r}"
+                                      f" != prior after-location {row[-1]!r}")
+                row.append(after)
+            rows[name] = row
         grids[pid] = StateGrid(procedure_id=pid, rows=rows)
     return grids
 
 
 def write_action_tsv(path, rows: list[tuple[str, int, str, str, str, str]]) -> None:
-    lines = ["\t".join([r[0], str(r[1]), r[2], r[3], r[4], r[5]]) for r in rows]
-    write_output(path, ["\n".join(lines), "\n"])
+    """One line per row; no rows give an empty file."""
+    write_output(path, ["".join(f"{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}\t{r[4]}\t{r[5]}\n" for r in rows)])

@@ -190,13 +190,9 @@ def _step_mentions(procedure: Procedure) -> StepMentions:
     }
 
 
-def _mention_spans(step_mentions: StepMentions, step: Step) -> dict[tuple[int, int], str]:
-    """Spans in a step that mention a tracked entity, span -> entity name."""
-    out: dict[tuple[int, int], str] = {}
-    for name, spans in step_mentions[step.index]:
-        for span in spans:
-            out.setdefault(span, name)
-    return out
+def _mention_spans(step_mentions: StepMentions, step: Step) -> set[tuple[int, int]]:
+    """Spans in a step that mention a tracked entity."""
+    return {span for _, spans in step_mentions[step.index] for span in spans}
 
 
 def _check_span(span: tuple[int, int], step: Step, what: str) -> None:

@@ -1,6 +1,7 @@
 """Random generators shared by the property and acceptance tests."""
 
 import random
+from pathlib import Path
 
 from statetrack.abstraction import ArgRef, PassiveLocationFact
 from statetrack.corpus import Action, Entity, StepAction
@@ -8,6 +9,14 @@ from statetrack.reasoning import EntityTimeline
 from statetrack.rules import LocalDecision
 
 LOCATIONS = ["pond", "lake", "soil", "mud", "air", None]
+
+
+def write_paragraphs_tsv(path: Path, procedures: list[dict]) -> None:
+    """The ``paragraphs.tsv`` of a propara-tsv corpus: one ``id TAB index
+    TAB text`` line per step of each corpus-JSON procedure, in list order."""
+    path.write_text("".join(
+        f"{p['id']}\t{s['index']}\t{s['text']}\n" for p in procedures for s in p["steps"]
+    ))
 
 
 def random_timeline(

@@ -62,6 +62,17 @@ class TestPredict:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
 
+    def test_empty_corpus_writes_an_empty_file(self, data_dir, tmp_path):
+        corpus = tmp_path / "empty.json"
+        corpus.write_text("[]")
+        out = tmp_path / "pred.tsv"
+        args = _predict_args(data_dir, out)
+        args[2] = str(corpus)
+        assert main(args) == 0
+        assert out.read_bytes() == b""
+        assert main(["evaluate", "--pred", str(out), "--corpus", str(corpus),
+                     "--tier", "sentence", "--output", str(tmp_path / "report.json")]) == 0
+
     def test_json_format(self, data_dir, tmp_path):
         out = tmp_path / "pred.json"
         assert main(_predict_args(data_dir, out, ["--format", "json"])) == 0
@@ -72,9 +83,16 @@ class TestPredict:
         }
 
     def test_srl_parser_rejected(self, data_dir, tmp_path, capsys):
-        code = main(_predict_args(data_dir, tmp_path / "x.tsv", ["--parser", "srl"]))
-        assert code == 2
-        assert "trips" in capsys.readouterr().err
+        # predict and abstract read logical-form parses only, so neither
+        # takes --parser; build-graph keeps it.
+        for command in ("predict", "abstract"):
+            argv = _predict_args(data_dir, tmp_path / "x.out", ["--parser", "srl"])
+            argv[0] = command
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --parser srl" in capsys.readouterr().err
+            assert not (tmp_path / "x.out").exists()
 
     def test_missing_corpus_is_exit_3(self, data_dir, tmp_path):
         args = _predict_args(data_dir, tmp_path / "x.tsv")
@@ -267,6 +285,16 @@ class TestDeterminism:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("command", ["abstract", "build-graph"])
+    def test_format_is_a_usage_error(self, data_dir, tmp_path, capsys, command):
+        # Both write JSON only, so neither takes --format.
+        argv = _predict_args(data_dir, tmp_path / "x.json", ["--format", "json"])
+        argv[0] = command
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+
     def test_abstract(self, data_dir, tmp_path):
         out = tmp_path / "events.json"
         code = main([

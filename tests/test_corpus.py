@@ -6,16 +6,17 @@ import pytest
 from statetrack.corpus import (
     Action,
     Entity,
+    StateGrid,
     Step,
     StepAction,
     derive_actions,
     find_all_mentions,
     find_mentions,
+    grids_from_action_tsv,
     load_coref,
     load_procedures,
     make_entity,
     normalize,
-    read_action_tsv,
     spans_overlap,
     tokenize,
 )
@@ -137,14 +138,14 @@ class TestLoading:
         with pytest.raises(SchemaError, match=(
             r"pred\.tsv:2: expected 6 columns \(id, step, entity, action, before, after\), got 5"
         )):
-            read_action_tsv(path)
+            grids_from_action_tsv(path)
 
     def test_action_tsv_hash_line_is_a_row(self, tmp_path):
         """Only configuration files have comment lines: in an action TSV a
         line that starts with "#" is a row, not skipped."""
         path = tmp_path / "pred.tsv"
         path.write_text("#7\t1\twater\tMOVE\tsky\tsoil\n")
-        assert read_action_tsv(path) == {"#7": {"water": {1: ("sky", "soil")}}}
+        assert grids_from_action_tsv(path) == {"#7": StateGrid("#7", {"water": ["sky", "soil"]})}
 
 class TestDeriveActions:
     def test_create_then_destroy(self):

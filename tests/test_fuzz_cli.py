@@ -22,6 +22,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from pathlib import Path
 
+from genutil import write_paragraphs_tsv
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -63,9 +64,7 @@ def _write_fixtures(work: Path) -> None:
         )
     (work / "propara").mkdir()
     procedures = json.loads((DATA / "corpus_predict.json").read_text())
-    (work / "propara" / "paragraphs.tsv").write_text("".join(
-        f"{p['id']}\t{s['index']}\t{s['text']}\n" for p in procedures for s in p["steps"]
-    ))
+    write_paragraphs_tsv(work / "propara" / "paragraphs.tsv", procedures)
     shutil.copy(DATA / "golden" / "predictions.tsv", work / "propara" / "grids.tsv")
 
 

@@ -1,12 +1,13 @@
-"""The JSON loaders against a frozen copy of the loaders they replaced.
+"""The corpus and parse loaders against a frozen copy of the loaders they
+replaced.
 
 ``_Reference`` below is the earlier code of the four JSON loaders (corpus,
-coreference sidecar, logical-form parses, frame parses), kept verbatim in
-logic.  On every fixture and on seeded random valid files the current
-loaders must return equal objects.  On seeded mutations of those files both
-must fail with the same error class, or both succeed with equal objects,
-except for the inputs the current loaders reject on purpose
-(``_newly_rejected``).
+coreference sidecar, logical-form parses, frame parses) and of the
+propara-tsv corpus loader, kept verbatim in logic.  On every fixture and on
+seeded random valid files the current loaders must return equal objects.
+On seeded mutations of those files both must fail with the same error
+class, or both succeed with equal objects, except for the JSON inputs the
+current loaders reject on purpose (``_newly_rejected``).
 """
 
 import copy
@@ -16,15 +17,19 @@ from pathlib import Path
 
 import pytest
 
+from genutil import write_paragraphs_tsv
 from statetrack.corpus import (
+    Action,
     Entity,
     Procedure,
     StateGrid,
     Step,
+    as_int,
     load_coref,
     load_procedures,
     make_entity,
     normalize,
+    read_tsv,
     spans_overlap,
     tokenize,
 )
@@ -164,6 +169,81 @@ class _Reference:
         proc = Procedure(id=pid, steps=tuple(steps), entities=tuple(entities))
         grid = StateGrid(procedure_id=pid, rows={e.canonical_name: rows[e.canonical_name] for e in entities})
         return proc, grid
+
+    # -- propara-tsv corpus --------------------------------------------------
+    # (``as_int`` here is the module's import from statetrack.corpus, which
+    # this loader used, not the earlier JSON accessor above.)
+
+    @classmethod
+    def load_propara_tsv(cls, path):
+        para_file = path / "paragraphs.tsv"
+        grid_file = path / "grids.tsv"
+        sentences = {}
+        for lineno, (pid, idx, text) in read_tsv(
+            para_file, "paragraph file", ("id", "sentence index", "sentence")
+        ):
+            t = as_int(idx, f"{para_file}:{lineno}")
+            sent_map = sentences.setdefault(pid, {})
+            if t in sent_map:
+                raise SchemaError(f"{para_file}:{lineno}: duplicate sentence {t} of paragraph {pid}")
+            sent_map[t] = text
+
+        raw = cls.read_action_tsv(grid_file)
+        out = []
+        for pid, sent_map in sentences.items():
+            m = max(sent_map)
+            if sorted(sent_map) != list(range(1, m + 1)):
+                raise SchemaError(f"{para_file}: paragraph {pid}: sentence indices not contiguous")
+            steps = tuple(
+                Step(index=i, text=sent_map[i], tokens=tuple(tokenize(sent_map[i])))
+                for i in range(1, m + 1)
+            )
+            if pid not in raw:
+                raise SchemaError(f"{grid_file}: no grid rows for paragraph {pid}")
+            entities = []
+            rows = {}
+            for raw_name, per_step in raw[pid].items():
+                ent = make_entity(raw_name)
+                if ent.canonical_name in rows:
+                    raise SchemaError(
+                        f"{grid_file}: paragraph {pid}: duplicate entity {ent.canonical_name!r}"
+                    )
+                entities.append(ent)
+                where = f"{grid_file}: paragraph {pid}, entity {raw_name!r}"
+                rows[ent.canonical_name] = cls.assemble_row(per_step, m, where)
+            proc = Procedure(id=pid, steps=steps, entities=tuple(entities))
+            out.append((proc, StateGrid(procedure_id=pid, rows=rows)))
+        extra = set(raw) - set(sentences)
+        if extra:
+            raise SchemaError(f"{grid_file}: grid rows for unknown paragraph(s) {sorted(extra)}")
+        return out
+
+    @staticmethod
+    def assemble_row(per_step, m, where):
+        if sorted(per_step) != list(range(1, m + 1)):
+            raise SchemaError(f"{where}: expected {m + 1} cells, steps 1..{m} present, got {sorted(per_step)}")
+        row = [per_step[1][0]]
+        for t in range(1, m + 1):
+            before, after = per_step[t]
+            if t > 1 and before != row[-1]:
+                raise SchemaError(f"{where}: step {t} before-location {before!r} != prior after-location {row[-1]!r}")
+            row.append(after)
+        return row
+
+    @staticmethod
+    def read_action_tsv(path):
+        out = {}
+        for lineno, (pid, step, entity, action, before, after) in read_tsv(
+            path, "action file", ("id", "step", "entity", "action", "before", "after")
+        ):
+            if action not in Action.__members__:
+                raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
+            t = as_int(step, f"{path}:{lineno}")
+            per_step = out.setdefault(pid, {}).setdefault(entity, {})
+            if t in per_step:
+                raise SchemaError(f"{path}:{lineno}: duplicate row for ({pid}, {entity}, step {t})")
+            per_step[t] = (normalize(before), normalize(after))
+        return out
 
     # -- coreference sidecar -------------------------------------------------
 
@@ -559,3 +639,119 @@ def test_fixtures_load_alike(data_dir):
         assert load_trips(path) == _Reference.load_trips(path)
     for path in sorted((data_dir / "parses").glob("*.srl.json")):
         assert load_srl(path) == _Reference.load_srl(path)
+
+
+# ---------------------------------------------------------------------------
+# propara-tsv corpora: the same random procedures written as a directory of
+# paragraphs.tsv and grids.tsv, and mutated line by line
+
+PARAGRAPHS, GRIDS = "paragraphs.tsv", "grids.tsv"
+BAD_INDICES = ["x", "1.5", "", "one", "0", "-1"]
+
+
+def _random_propara(rng):
+    """Corpus-JSON procedures whose entities are the raw grids.tsv names, the
+    same procedures as paragraphs.tsv writes them, and the grids.tsv lines
+    of their grids.  Sentences and grid lines are shuffled now and then:
+    the TSV loaders order steps by index and entities by first appearance."""
+    procedures, paragraphs, lines = [], [], []
+    for k in rng.sample(range(20), rng.randint(1, 3)):
+        m = rng.randint(1, 4)
+        steps = [{"index": i, "text": " ".join(rng.sample(WORDS, rng.randint(1, 5))) + " ."}
+                 for i in range(1, m + 1)]
+        pid = str(k) if rng.random() < 0.3 else f"proc-{k}"
+        grid = {}
+        for name in rng.sample(WORDS, rng.randint(1, 3)):
+            roll = rng.random()
+            if roll < 0.2:
+                name = name.title()
+            elif roll < 0.4:
+                name = f"{name};{rng.choice(ALIASES)}"
+            grid[name] = [rng.choice(LOCATIONS) for _ in range(m + 1)]
+        rows = [(name, f"{pid}\t{t}\t{name}\t{rng.choice(list(Action.__members__))}"
+                       f"\t{cells[t - 1]}\t{cells[t]}\n")
+                for name, cells in grid.items() for t in range(1, m + 1)]
+        if rng.random() < 0.3:
+            rng.shuffle(rows)
+        lines += [line for _, line in rows]
+        entities = list(dict.fromkeys(name for name, _ in rows))
+        procedures.append({"id": pid, "steps": steps, "entities": entities, "gold_grid": grid})
+        paragraphs.append({"id": pid, "steps": rng.sample(steps, m) if rng.random() < 0.3 else steps})
+    return procedures, paragraphs, lines
+
+
+def _write_propara(directory, paragraphs, grid_lines):
+    directory.mkdir(exist_ok=True)
+    write_paragraphs_tsv(directory / PARAGRAPHS, paragraphs)
+    (directory / GRIDS).write_text("".join(grid_lines))
+
+
+def _mutate_lines(rng, directory):
+    """Mutate one line of paragraphs.tsv or grids.tsv in place: delete it,
+    repeat it, swap two of its fields, break the before/after chain,
+    change the case of its entity name (and, half the time, also add all
+    rows of that entity under the new name), or make its index no
+    integer or one below 1."""
+    mutation = rng.choice(["delete", "duplicate", "field swap", "chain", "entity case", "index"])
+    name = GRIDS if mutation in ("chain", "entity case") else rng.choice([PARAGRAPHS, GRIDS])
+    path = directory / name
+    lines = path.read_text().splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    fields = lines[k].rstrip("\n").split("\t")
+    if mutation == "delete":
+        del lines[k]
+    elif mutation == "duplicate":
+        lines.insert(k, lines[k])
+    else:
+        if mutation == "field swap":
+            i, j = rng.sample(range(len(fields)), 2)
+            fields[i], fields[j] = fields[j], fields[i]
+        elif mutation == "chain":
+            side = rng.choice([4, 5])
+            fields[side] = rng.choice([loc for loc in LOCATIONS if normalize(loc) != normalize(fields[side])])
+        elif mutation == "entity case":
+            variant = rng.choice([fields[2].upper(), fields[2].title(), fields[2].swapcase()])
+            if rng.random() < 0.5:  # a second entity that normalizes alike
+                lines += [line.replace(f"\t{fields[2]}\t", f"\t{variant}\t") for line in lines
+                          if line.split("\t")[:3:2] == [fields[0], fields[2]]]
+            else:
+                fields[2] = variant
+        else:
+            fields[1] = rng.choice(BAD_INDICES)
+        lines[k] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines))
+    return mutation, name
+
+
+def _load_propara(directory):
+    return load_procedures(directory, "propara-tsv")
+
+
+def test_random_propara_corpora_load_alike(tmp_path):
+    """Equal results from both loaders, and the same procedures and grids
+    as the corpus JSON that holds them."""
+    for seed in SEEDS:
+        procedures, paragraphs, grid_lines = _random_propara(random.Random(seed))
+        _write_propara(tmp_path / "propara", paragraphs, grid_lines)
+        new = _load_propara(tmp_path / "propara")
+        assert new == _Reference.load_propara_tsv(tmp_path / "propara"), seed
+        (tmp_path / "corpus.json").write_text(json.dumps(procedures))
+        assert new == load_procedures(tmp_path / "corpus.json"), seed
+
+
+def test_mutated_propara_corpora_fail_alike(tmp_path):
+    outcomes = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        _, paragraphs, grid_lines = _random_propara(rng)
+        for _ in range(3):
+            _write_propara(tmp_path / "propara", paragraphs, grid_lines)
+            mutation = _mutate_lines(rng, tmp_path / "propara")
+            new = _outcome(_load_propara, tmp_path / "propara")
+            old = _outcome(_Reference.load_propara_tsv, tmp_path / "propara")
+            assert new == old, (seed, mutation, new, old)
+            outcomes.add((mutation[0], new[0]))
+    # Every mutation was drawn, and some of each kind of outcome were seen.
+    assert {m for m, _ in outcomes} == {"delete", "duplicate", "field swap", "chain",
+                                        "entity case", "index"}
+    assert {o for _, o in outcomes} == {"ok", "error"}
