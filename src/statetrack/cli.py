@@ -18,12 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+# Only the readers every command shares are imported here; each command
+# imports the modules that it alone uses, so it loads no other command's.
 from . import corpus as corpus_mod
-from . import metrics, reasoning, semgraph
-from .abstraction import abstract_events, default_role_synonyms
 from .errors import ConfigError, InputFileError, SchemaError
 from .parses import default_class_map, default_ontology, load_srl, load_trips, parses_by_step
-from .rules import RULE_NAMES
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,6 +137,8 @@ def _parse_file(parse_dir: str, procedure_id: str, kind: str) -> Path:
 
 
 def _load_configs(args):
+    from .abstraction import default_role_synonyms
+
     ontology = default_ontology(args.ontology)
     class_map = default_class_map(args.classes)
     synonyms = default_role_synonyms(args.roles)
@@ -147,6 +148,8 @@ def _load_configs(args):
 def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, strict, procedure):
     """The action rows of one procedure; bound to the run's settings with
     ``functools.partial``, so a worker pool pickles them once per chunk."""
+    from . import reasoning
+
     grid = reasoning.predict(
         procedure, load_trips(_parse_file(parse_dir, procedure.id, "trips")),
         ontology, class_map, synonyms, disabled_rules=disabled, strict_destroy=strict,
@@ -155,6 +158,8 @@ def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, stric
 
 
 def cmd_predict(args) -> int:
+    from .rules import RULE_NAMES
+
     procedures, _ = _load_corpus(args)
     ontology, class_map, synonyms = _load_configs(args)
     disabled = frozenset()
@@ -189,6 +194,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_abstract(args) -> int:
+    from .abstraction import abstract_events
+
     procedures, _ = _load_corpus(args)
     ontology, class_map, synonyms = _load_configs(args)
     out = []
@@ -209,6 +216,8 @@ def cmd_abstract(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
+    from . import semgraph
+
     procedures, _ = _load_corpus(args)
     known = {alias for proc in procedures for e in proc.entities for alias in e.aliases}
     unknown = [name for name in args.qa_entity if corpus_mod.normalize(name) not in known]
@@ -241,6 +250,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    from . import metrics
+
     procedures, gold = _load_corpus(args)
     pred = corpus_mod.grids_from_action_tsv(args.pred)
     report = metrics.MetricReport()
@@ -260,7 +271,7 @@ def cmd_evaluate(args) -> int:
         categories = metrics.categorize_decisions(gold, procedures, parses, ontology, class_map)
         report.decision = metrics.eval_decision_level(pred, gold, categories)
     if args.format == "json":
-        rendered = json.dumps(report.to_dict(), indent=2) + "\n"
+        rendered = corpus_mod.render_json(report.to_dict()) + "\n"
     else:
         rendered = report.render_table()
     if args.output:
@@ -285,7 +296,7 @@ def cmd_gat_check(args) -> int:
 
 
 def _write_json(path, obj) -> None:
-    corpus_mod.write_output(path, [json.dumps(obj, indent=2), "\n"])
+    corpus_mod.write_output(path, [corpus_mod.render_json(obj), "\n"])
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import InputFileError, SchemaError
@@ -358,6 +359,80 @@ def write_output(path, parts) -> None:
     except UnicodeEncodeError as exc:
         Path(path).unlink()
         raise SchemaError(f"cannot write {path}: {exc}") from None
+
+
+def render_json(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2)``, built with the C string
+    escaper rather than the pure-Python encoder ``json.dumps`` falls back
+    to whenever ``indent`` is set.  Every JSON output but graphs.json is
+    rendered here.  Unlike ``json.dumps`` it does not detect a container
+    that holds itself."""
+    parts: list[str] = []
+    _render_json(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _render_json(value, newline: str, parts: list) -> None:
+    """Append the text of one value to ``parts``; ``newline`` starts each
+    of its lines after the first.  Lists and dicts have a loop each, which
+    keeps a call and a generator step per item off the hot path."""
+    text = _scalar_json(value)
+    if text is not None:
+        parts.append(text)
+        return
+    if isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # json.dumps writes a number, boolean or None key as the string
+            # of its JSON text; any other key leaves None, a TypeError here.
+            head = sep + _json_str(key if isinstance(key, str) else _scalar_json(key)) + ": "
+            text = _scalar_json(item)
+            if text is None:
+                parts.append(head)
+                _render_json(item, inner, parts)
+            else:
+                parts.append(head + text)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            text = _scalar_json(item)
+            if text is None:
+                parts.append(sep)
+                _render_json(item, inner, parts)
+            else:
+                parts.append(sep + text)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _scalar_json(value) -> str | None:
+    """The JSON text of a string, number, boolean or None, as ``json.dumps``
+    writes it; None for anything else."""
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN and the infinities as json.dumps spells them
+    return None
 
 
 def read_json_records(path, what: str) -> list:

@@ -9,6 +9,7 @@ walking the type hierarchy upward until a mapped ancestor is found.
 from __future__ import annotations
 
 import os
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -33,24 +34,24 @@ class ActionClass(str, Enum):
 # ---------------------------------------------------------------------------
 # Logical-form graphs
 
-@dataclass(frozen=True)
-class LfNode:
-    id: str
-    indicator: str       # term indicator; "F" marks predicate/function nodes
-    onto_type: str
-    word: str
-    span: tuple[int, int] | None
+# Nodes and edges are the most numerous records a parse file holds, so they
+# are tuples with named fields, which cost a fraction of a dataclass to make.
+
+class LfNode(namedtuple("LfNode", "id indicator onto_type word span")):
+    """A node: id, term indicator ("F" marks predicate/function nodes),
+    ontology type, word, and token span (start, end) or None."""
+
+    __slots__ = ()
 
     @property
     def is_predicate(self) -> bool:
         return self.indicator.upper() == "F"
 
 
-@dataclass(frozen=True)
-class LfEdge:
-    src: str
-    label: str
-    dst: str
+class LfEdge(namedtuple("LfEdge", "src label dst")):
+    """A role-labeled edge between two node ids."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -85,32 +86,46 @@ def load_trips(path) -> list[LogicalFormGraph]:
 
 
 def _parse_lf_obj(obj: dict, idx: int) -> LogicalFormGraph:
+    # Each field is tested inline with an exact-type check; only a field that
+    # fails it goes through its checked accessor, which raises that field's
+    # message or reads an integer id as its decimal text.
     nodes = []
     ids = set()
     for n in as_list(obj.get("nodes", []), "nodes"):
-        nid = as_id(require_key(n, "id", "node"), "node id")
+        nid = n.get("id") if type(n) is dict else None
+        if type(nid) is not str:
+            nid = as_id(require_key(n, "id", "node"), "node id")
         if nid in ids:
             raise SchemaError(f"duplicate node id {nid!r}")
         ids.add(nid)
+        indicator, onto_type, word = n.get("indicator", ""), n.get("type", ""), n.get("word", "")
         span = n.get("span")
         try:
-            nodes.append(LfNode(
-                id=nid,
-                indicator=as_str(n.get("indicator", ""), "indicator"),
-                onto_type=as_str(n.get("type", ""), "type").upper(),
-                word=as_str(n.get("word", ""), "word"),
-                span=None if span is None else as_span(span, "span"),
-            ))
+            if type(indicator) is not str:
+                indicator = as_str(indicator, "indicator")
+            if type(onto_type) is not str:
+                onto_type = as_str(onto_type, "type")
+            if type(word) is not str:
+                word = as_str(word, "word")
+            if span is not None:
+                span = as_span(span, "span")
         except SchemaError as exc:
             raise SchemaError(f"node {nid}: {exc}") from None
+        nodes.append(LfNode(nid, indicator, onto_type.upper(), word, span))
     edges = []
     for e in as_list(obj.get("edges", []), "edges"):
-        src = as_id(require_key(e, "src", "edge"), "edge src")
-        label = as_str(require_key(e, "label", "edge"), "edge label")
-        dst = as_id(require_key(e, "dst", "edge"), "edge dst")
+        src = e.get("src") if type(e) is dict else None
+        if type(src) is not str:
+            src = as_id(require_key(e, "src", "edge"), "edge src")
+        label = e.get("label")
+        if type(label) is not str:
+            label = as_str(require_key(e, "label", "edge"), "edge label")
+        dst = e.get("dst")
+        if type(dst) is not str:
+            dst = as_id(require_key(e, "dst", "edge"), "edge dst")
         if src not in ids or dst not in ids:
             raise SchemaError(f"edge references unknown node {dst if src in ids else src!r}")
-        edges.append(LfEdge(src=src, label=label.upper(), dst=dst))
+        edges.append(LfEdge(src, label.upper(), dst))
     root = obj.get("root")
     if root is not None:
         root = as_id(root, "root")

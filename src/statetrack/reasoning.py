@@ -30,7 +30,6 @@ from .corpus import (
     Procedure,
     StateGrid,
     StepAction,
-    derive_actions,
     transition,
 )
 from .parses import parses_by_step
@@ -55,15 +54,6 @@ class FixedSequence:
     actions: list[StepAction]
     initial_location: str
     row: list[str]
-
-    def reconciled(self) -> tuple[list[str], list[StepAction]]:
-        """The location row and the action sequence the row itself implies.
-
-        Actions that cannot be expressed in the location grid (a move whose
-        two ends read identically, or an action stranded by an inconsistent
-        earlier state) are rewritten here; this is the exported form.
-        """
-        return self.row, derive_actions(self.row)
 
 
 def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[StepAction]:

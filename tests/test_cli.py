@@ -11,17 +11,18 @@ from statetrack.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh interpreter has the module loaded after importing
-    statetrack.cli."""
+def _loaded_by_cli_import(*modules: str, argv=None) -> list[str]:
+    """Those of ``modules`` a fresh interpreter has loaded after importing
+    statetrack.cli and, given ``argv``, running that command."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    probe = f"import sys, statetrack.cli; print({module!r} in sys.modules)"
+    run = "" if argv is None else f"assert statetrack.cli.main({list(map(str, argv))!r}) == 0; "
+    probe = f"import sys, statetrack.cli; {run}print(*[m for m in {modules!r} if m in sys.modules])"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    return result.stdout.strip() == "True"
+    return result.stdout.split()
 
 
 def _predict_args(data_dir, out, extra=()):
@@ -308,6 +309,7 @@ class TestOtherCommands:
         book_step = next(e for e in events if e["procedure"] == "book-1")
         assert book_step["frames"][0]["class"] == "MOVE"
         assert book_step["passive"] == [{"step": 1, "holder": "book", "location": "shelf"}]
+        assert out.read_bytes() == (data_dir / "golden" / "abstract.json").read_bytes()
 
     def test_build_graph_deterministic(self, data_dir, tmp_path):
         blobs = []
@@ -397,6 +399,19 @@ class TestOtherCommands:
 
     def test_cli_import_does_not_load_multiprocessing(self):
         assert not _loaded_by_cli_import("multiprocessing")
+
+    def test_cli_import_loads_no_command_module(self):
+        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.semgraph",
+                                         "statetrack.reasoning", "statetrack.rules")
+
+    def test_predict_loads_neither_metrics_nor_semgraph(self, data_dir, tmp_path):
+        argv = _predict_args(data_dir, tmp_path / "pred.tsv")
+        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.semgraph", argv=argv)
+
+    def test_build_graph_loads_neither_metrics_nor_reasoning(self, data_dir, tmp_path):
+        argv = ["build-graph", "--corpus", data_dir / "corpus_predict.json",
+                "--parses", data_dir / "parses", "--output", tmp_path / "graphs.json"]
+        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.reasoning", argv=argv)
 
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0

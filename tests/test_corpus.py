@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from statetrack.corpus import (
     Action,
@@ -17,6 +19,7 @@ from statetrack.corpus import (
     load_procedures,
     make_entity,
     normalize,
+    render_json,
     spans_overlap,
     tokenize,
 )
@@ -302,3 +305,38 @@ class TestCoref:
         )
         with pytest.raises(SchemaError, match="exceeds"):
             load_coref(side, [p for p, _ in pairs])
+
+
+# Any text, control characters and lone surrogates included.
+_TEXT = st.text(st.characters(exclude_categories=()), max_size=8)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.floats()
+    | _TEXT | st.sampled_from(list(Action))
+)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+        | st.dictionaries(_KEYS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+class TestRenderJson:
+    @given(_JSON_VALUES)
+    def test_equals_json_dumps_indent_2(self, value):
+        assert render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -0.0, 10**30,
+                                       [], {}, [[], {}], {"a": {"b": []}}, "\ud800\x00\u00e9"])
+    def test_edge_values(self, value):
+        assert render_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [object(), {(1, 2): 1}, [{1, 2}]])
+    def test_what_json_cannot_encode_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            render_json(value)

@@ -45,6 +45,81 @@ def _srl_dict(d) -> dict:
     }
 
 
+def _node(nid="N1", **fields) -> dict:
+    """A valid logical-form node record, with ``fields`` replaced."""
+    return {"id": nid, "indicator": "THE", "type": "THING", "word": "w", "span": [0, 1], **fields}
+
+
+def _edge(src="N1", label="A", dst="N1") -> dict:
+    return {"src": src, "label": label, "dst": dst}
+
+
+# (test id, record fields, message after "{path}: sentence 1: ")
+_LF_DEFECTS = [
+    ("missing-id", {"nodes": [{"word": "w"}]}, "node: missing key 'id'"),
+    ("bool-id", {"nodes": [_node(True)]},
+     "node id: expected a string or an integer, got True"),
+    ("float-id", {"nodes": [_node(1.5)]},
+     "node id: expected a string or an integer, got 1.5"),
+    ("duplicate-id", {"nodes": [_node(), _node()]}, "duplicate node id 'N1'"),
+    ("integer-id-duplicates-its-text", {"nodes": [_node(7), _node("7")]},
+     "duplicate node id '7'"),
+    ("int-indicator", {"nodes": [_node(indicator=3)]},
+     "node N1: indicator: expected a string, got 3"),
+    ("null-indicator", {"nodes": [_node(indicator=None)]},
+     "node N1: indicator: expected a string, got None"),
+    ("list-type", {"nodes": [_node(type=["MOVE"])]},
+     "node N1: type: expected a string, got ['MOVE']"),
+    ("null-word", {"nodes": [_node(word=None)]},
+     "node N1: word: expected a string, got None"),
+    ("integer-id-in-field-message", {"nodes": [_node(7, word=1)]},
+     "node 7: word: expected a string, got 1"),
+    ("span-of-one", {"nodes": [_node(span=[0])]},
+     "node N1: span: expected two integers, got [0]"),
+    ("span-of-three", {"nodes": [_node(span=[0, 1, 2])]},
+     "node N1: span: expected two integers, got [0, 1, 2]"),
+    ("bool-span", {"nodes": [_node(span=[True, 1])]},
+     "node N1: span: expected two integers, got [True, 1]"),
+    ("float-span", {"nodes": [_node(span=[0, 1.0])]},
+     "node N1: span: expected two integers, got [0, 1.0]"),
+    ("string-span", {"nodes": [_node(span="0 1")]},
+     "node N1: span: expected two integers, got '0 1'"),
+    ("string-node", {"nodes": ["N1"]}, "node: expected an object, got str"),
+    ("null-node", {"nodes": [None]}, "node: expected an object, got NoneType"),
+    ("nodes-not-a-list", {"nodes": {"N1": {}}}, "nodes: expected a list, got dict"),
+    ("list-edge", {"nodes": [_node()], "edges": [["N1", "A", "N1"]]},
+     "edge: expected an object, got list"),
+    ("edges-not-a-list", {"nodes": [_node()], "edges": "N1"}, "edges: expected a list, got str"),
+    ("edge-without-src", {"nodes": [_node()], "edges": [{"label": "A", "dst": "N1"}]},
+     "edge: missing key 'src'"),
+    ("edge-without-label", {"nodes": [_node()], "edges": [{"src": "N1", "dst": "N1"}]},
+     "edge: missing key 'label'"),
+    ("edge-without-dst", {"nodes": [_node()], "edges": [{"src": "N1", "label": "A"}]},
+     "edge: missing key 'dst'"),
+    ("int-edge-label", {"nodes": [_node()], "edges": [_edge(label=5)]},
+     "edge label: expected a string, got 5"),
+    ("bool-edge-src", {"nodes": [_node()], "edges": [_edge(src=False)]},
+     "edge src: expected a string or an integer, got False"),
+    ("float-edge-dst", {"nodes": [_node()], "edges": [_edge(dst=2.0)]},
+     "edge dst: expected a string or an integer, got 2.0"),
+    ("edge-from-unknown-node", {"nodes": [_node()], "edges": [_edge(src="N9")]},
+     "edge references unknown node 'N9'"),
+    ("edge-to-unknown-node", {"nodes": [_node()], "edges": [_edge(dst="N9")]},
+     "edge references unknown node 'N9'"),
+    ("edge-between-unknown-nodes", {"nodes": [_node()], "edges": [_edge(src="N8", dst="N9")]},
+     "edge references unknown node 'N8'"),
+    ("edge-to-unknown-integer-id", {"nodes": [_node()], "edges": [_edge(dst=9)]},
+     "edge references unknown node '9'"),
+    ("root-not-a-node", {"nodes": [_node()], "root": "N9"}, "root 'N9' is not a node"),
+    ("bool-root", {"nodes": [_node()], "root": True},
+     "root: expected a string or an integer, got True"),
+    ("float-root", {"nodes": [_node()], "root": 1.0},
+     "root: expected a string or an integer, got 1.0"),
+    ("list-root", {"nodes": [_node()], "root": ["N1"]},
+     "root: expected a string or an integer, got ['N1']"),
+]
+
+
 class TestLoadTrips:
     def test_move_frame_has_two_outgoing_edges(self, data_dir):
         graphs = load_trips(data_dir / "parses" / "book-1.trips.json")
@@ -143,6 +218,30 @@ class TestLoadTrips:
         )
         with pytest.raises(SchemaError, match="duplicate sentence_index 1"):
             load_trips(path)
+
+    @pytest.mark.parametrize("record, message", [
+        pytest.param(*case, id=case_id) for case_id, *case in _LF_DEFECTS
+    ])
+    def test_field_defect_message(self, tmp_path, record, message):
+        """The exact text of each field-level defect of a logical-form record."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{"sentence_index": 1, **record}]))
+        with pytest.raises(SchemaError) as exc:
+            load_trips(path)
+        assert str(exc.value) == f"{path}: sentence 1: {message}"
+
+    def test_integer_ids_are_read_as_decimal_text(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(json.dumps([{
+            "sentence_index": 1, "root": 7,
+            "nodes": [_node(7), _node("N1", span=None)],
+            "edges": [{"src": 7, "label": "affected", "dst": "N1"}],
+        }]))
+        (g,) = load_trips(path)
+        assert g.root == "7"
+        assert [n.id for n in g.nodes] == ["7", "N1"]
+        assert g.nodes[1].span is None
+        assert [(e.src, e.label, e.dst) for e in g.edges] == [("7", "AFFECTED", "N1")]
 
 
 class TestLoadSrl:
