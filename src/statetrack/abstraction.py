@@ -8,8 +8,7 @@ an event; they come out separately as passive location facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from collections import namedtuple
 
 from .corpus import normalize
 from .parses import (
@@ -29,29 +28,39 @@ LOCATION = "LOCATION"
 _LOCATION_CATEGORIES = (TO_LOC, FROM_LOC, LOCATION)
 
 
-@dataclass(frozen=True)
-class ArgRef:
-    """A role filler: its surface text, token span, and source node."""
+class ArgRef(namedtuple("ArgRef", "text span node_id norm")):
+    """A role filler: its surface text, token span, and source node, plus
+    ``norm``, the text normalized once when the filler is made, because rule
+    matching reads it once per tracked entity."""
 
-    text: str
-    span: tuple[int, int] | None
-    node_id: str
+    __slots__ = ()
 
-    @cached_property
-    def norm(self) -> str:
-        return normalize(self.text)
+    def __new__(cls, text: str, span: tuple[int, int] | None, node_id: str):
+        return tuple.__new__(cls, (text, span, node_id, normalize(text)))
+
+    def __getnewargs__(self):
+        return self[:3]
 
 
-@dataclass
 class EventFrame:
-    step_index: int
-    predicate_word: str
-    onto_type: str
-    action_class: ActionClass
-    roles: dict[str, ArgRef] = field(default_factory=dict)
-    to_loc: ArgRef | None = None
-    from_loc: ArgRef | None = None
-    node_id: str = ""
+    """One event: its predicate, action class, role fillers and the
+    locations it names."""
+
+    __slots__ = ("step_index", "predicate_word", "onto_type", "action_class", "roles",
+                 "to_loc", "from_loc", "node_id")
+
+    def __init__(self, step_index: int, predicate_word: str, onto_type: str,
+                 action_class: ActionClass, roles: dict[str, ArgRef] | None = None,
+                 to_loc: ArgRef | None = None, from_loc: ArgRef | None = None,
+                 node_id: str = ""):
+        self.step_index = step_index
+        self.predicate_word = predicate_word
+        self.onto_type = onto_type
+        self.action_class = action_class
+        self.roles = {} if roles is None else roles
+        self.to_loc = to_loc
+        self.from_loc = from_loc
+        self.node_id = node_id
 
     def to_dict(self) -> dict:
         return {
@@ -65,13 +74,10 @@ class EventFrame:
         }
 
 
-@dataclass(frozen=True)
-class PassiveLocationFact:
+class PassiveLocationFact(namedtuple("PassiveLocationFact", "step_index holder location")):
     """An entity sitting somewhere, stated without an action."""
 
-    step_index: int
-    holder: ArgRef
-    location: ArgRef
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"step": self.step_index, "holder": self.holder.text, "location": self.location.text}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
@@ -124,39 +124,39 @@ class Action(str, Enum):
     MOVE = "MOVE"
 
 
-@dataclass(frozen=True)
-class StepAction:
+# Records are tuples with named fields, which cost a fraction of a
+# dataclass to define and to make; they compare, hash and pickle as tuples.
+# The grid, whose rows callers may change, is a plain class with slots.
+
+class StepAction(namedtuple("StepAction", "action from_loc to_loc")):
     """One action applied to one entity at one step.
 
     CREATE and MOVE carry a target location (possibly "?"); DESTROY may
-    carry the location it happened at; NONE carries neither.
+    carry the location it happened at; NONE carries neither.  The check
+    runs whenever the class is called, so make a changed copy with
+    ``StepAction(...)`` rather than ``_replace``, which bypasses it.
     """
 
-    action: Action
-    from_loc: str | None = None
-    to_loc: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.action is Action.NONE and (self.from_loc or self.to_loc):
+    def __new__(cls, action: Action, from_loc: str | None = None, to_loc: str | None = None):
+        if action is Action.NONE and (from_loc or to_loc):
             raise ValueError("NONE carries no locations")
+        return tuple.__new__(cls, (action, from_loc, to_loc))
 
 
-@dataclass(frozen=True)
-class Step:
-    index: int
-    text: str
-    tokens: tuple[str, ...]
+class Step(namedtuple("Step", "index text tokens")):
+    """One sentence: its 1-based index, text and tokens."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(namedtuple("Entity", "canonical_name aliases coref_mentions", defaults=((),))):
     """A tracked entity.  The canonical name is the first alias; extra
     aliases come from ";"-separated annotation names.  Coreference mentions
     are annotation input, keyed (step_index, token_span)."""
 
-    canonical_name: str
-    aliases: tuple[str, ...]
-    coref_mentions: tuple[tuple[int, tuple[int, int]], ...] = ()
+    __slots__ = ()
 
     def coref_spans(self, step_index: int) -> list[tuple[int, int]]:
         return [span for idx, span in self.coref_mentions if idx == step_index]
@@ -165,11 +165,8 @@ class Entity:
         return Entity(self.canonical_name, self.aliases, tuple(mentions))
 
 
-@dataclass(frozen=True)
-class Procedure:
-    id: str
-    steps: tuple[Step, ...]
-    entities: tuple[Entity, ...]
+class Procedure(namedtuple("Procedure", "id steps entities")):
+    __slots__ = ()
 
     @property
     def num_steps(self) -> int:
@@ -185,13 +182,23 @@ class Procedure:
         raise KeyError(name)
 
 
-@dataclass
 class StateGrid:
     """Locations per (entity, step).  Each row has num_steps + 1 cells;
     cell 0 is the pre-process state."""
 
-    procedure_id: str
-    rows: dict[str, list[str]]
+    __slots__ = ("procedure_id", "rows")
+
+    def __init__(self, procedure_id: str, rows: dict[str, list[str]]):
+        self.procedure_id = procedure_id
+        self.rows = rows
+
+    def __eq__(self, other):
+        if type(other) is not StateGrid:
+            return NotImplemented
+        return self.procedure_id == other.procedure_id and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"StateGrid(procedure_id={self.procedure_id!r}, rows={self.rows!r})"
 
 
 def make_entity(raw_name: str) -> Entity:

@@ -20,7 +20,7 @@ the decision tier normalizes each step's tokens once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .abstraction import frame_nodes
 from .corpus import (
@@ -80,14 +80,14 @@ def _validate_alignment(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) 
 # ---------------------------------------------------------------------------
 # Sentence tier
 
-@dataclass
-class SentenceScores:
-    cat1: float
-    cat2: float
-    cat3: float
-    macro_avg: float
-    micro_avg: float
-    counts: dict[str, tuple[int, int]]  # category -> (credits, questions)
+# Score records are tuples with named fields (see ``corpus``); the report,
+# whose tiers are filled in one by one, is a plain class.
+
+class SentenceScores(namedtuple("SentenceScores", "cat1 cat2 cat3 macro_avg micro_avg counts")):
+    """Percentages per category and averaged; ``counts`` maps a category to
+    its (credits, questions)."""
+
+    __slots__ = ()
 
 
 def eval_sentence_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> SentenceScores:
@@ -143,22 +143,12 @@ def _event_locations(row: list[str], steps: list[int], kind: str):
 # ---------------------------------------------------------------------------
 # Document tier
 
-@dataclass
-class CriterionScore:
-    precision: float
-    recall: float
-    f1: float
-    predicted: int
-    gold: int
-    matched: int
+class CriterionScore(namedtuple("CriterionScore", "precision recall f1 predicted gold matched")):
+    __slots__ = ()
 
 
-@dataclass
-class DocumentScores:
-    criteria: dict[str, CriterionScore]
-    avg_precision: float
-    avg_recall: float
-    avg_f1: float
+class DocumentScores(namedtuple("DocumentScores", "criteria avg_precision avg_recall avg_f1")):
+    __slots__ = ()
 
 
 def eval_document_level(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> DocumentScores:
@@ -215,10 +205,8 @@ def _document_sets(grids: dict[str, StateGrid]) -> dict[str, set]:
 # ---------------------------------------------------------------------------
 # Decision tier
 
-@dataclass(frozen=True)
-class DecisionCategory:
-    name: str
-    ambiguous: bool
+class DecisionCategory(namedtuple("DecisionCategory", "name ambiguous")):
+    __slots__ = ()
 
 
 def categorize_decisions(
@@ -288,20 +276,16 @@ def _action_verb_counts(proc: Procedure, lf_graphs, ontology, class_map) -> dict
     }
 
 
-@dataclass
-class CategoryScore:
-    action_acc: float | None
-    location_acc: float | None
-    both_acc: float | None
-    action_support: int
-    location_support: int
+class CategoryScore(namedtuple(
+    "CategoryScore", "action_acc location_acc both_acc action_support location_support"
+)):
+    __slots__ = ()
 
 
-@dataclass
-class DecisionScores:
-    categories: dict[str, CategoryScore]
-    ambiguous_action_acc: float | None
-    ambiguous_support: int
+class DecisionScores(namedtuple(
+    "DecisionScores", "categories ambiguous_action_acc ambiguous_support"
+)):
+    __slots__ = ()
 
 
 def eval_decision_level(
@@ -356,14 +340,30 @@ def eval_decision_level(
 # ---------------------------------------------------------------------------
 # Report assembly
 
-@dataclass
 class MetricReport:
-    sentence: SentenceScores | None = None
-    document: DocumentScores | None = None
-    decision: DecisionScores | None = None
+    """The scores of the tiers that were run; a tier not run is None."""
+
+    __slots__ = ("sentence", "document", "decision")
+
+    def __init__(self, sentence: SentenceScores | None = None,
+                 document: DocumentScores | None = None,
+                 decision: DecisionScores | None = None):
+        self.sentence = sentence
+        self.document = document
+        self.decision = decision
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Each tier's fields in order, with its nested records as dicts."""
+        s, d, c = self.sentence, self.document, self.decision
+        return {
+            "sentence": None if s is None else {**s._asdict(), "counts": dict(s.counts)},
+            "document": None if d is None else {
+                **d._asdict(), "criteria": {k: v._asdict() for k, v in d.criteria.items()}
+            },
+            "decision": None if c is None else {
+                **c._asdict(), "categories": {k: v._asdict() for k, v in c.categories.items()}
+            },
+        }
 
     def render_table(self) -> str:
         lines = []

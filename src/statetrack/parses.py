@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from collections import namedtuple
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -34,8 +33,8 @@ class ActionClass(str, Enum):
 # ---------------------------------------------------------------------------
 # Logical-form graphs
 
-# Nodes and edges are the most numerous records a parse file holds, so they
-# are tuples with named fields, which cost a fraction of a dataclass to make.
+# Records are tuples with named fields (see ``corpus``); a sentence's graph,
+# which indexes its nodes and edges when it is made, is a plain class.
 
 class LfNode(namedtuple("LfNode", "id indicator onto_type word span")):
     """A node: id, term indicator ("F" marks predicate/function nodes),
@@ -54,24 +53,29 @@ class LfEdge(namedtuple("LfEdge", "src label dst")):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LogicalFormGraph:
     """One sentence's parse.  Node ids and each node's outgoing edges are
     indexed once, when the graph is made."""
 
-    sentence_index: int
-    nodes: tuple[LfNode, ...]
-    edges: tuple[LfEdge, ...]
-    root: str | None
-    _by_id: dict[str, LfNode] = field(init=False, repr=False, compare=False)
-    _out: dict[str, tuple[LfEdge, ...]] = field(init=False, repr=False, compare=False)
+    __slots__ = ("sentence_index", "nodes", "edges", "root", "_by_id", "_out")
 
-    def __post_init__(self) -> None:
+    def __init__(self, sentence_index: int, nodes: tuple[LfNode, ...],
+                 edges: tuple[LfEdge, ...], root: str | None):
+        self.sentence_index = sentence_index
+        self.nodes = nodes
+        self.edges = edges
+        self.root = root
         out: dict[str, list[LfEdge]] = {}
-        for edge in self.edges:
+        for edge in edges:
             out.setdefault(edge.src, []).append(edge)
-        object.__setattr__(self, "_by_id", {n.id: n for n in self.nodes})
-        object.__setattr__(self, "_out", {src: tuple(edges) for src, edges in out.items()})
+        self._by_id = {n.id: n for n in nodes}
+        self._out = {src: tuple(src_edges) for src, src_edges in out.items()}
+
+    def __eq__(self, other):
+        if type(other) is not LogicalFormGraph:
+            return NotImplemented
+        return (self.sentence_index, self.nodes, self.edges, self.root) == (
+            other.sentence_index, other.nodes, other.edges, other.root)
 
     def node(self, node_id: str) -> LfNode:
         return self._by_id[node_id]
@@ -137,24 +141,16 @@ def _parse_lf_obj(obj: dict, idx: int) -> LogicalFormGraph:
 # ---------------------------------------------------------------------------
 # Role-labeled frames
 
-@dataclass(frozen=True)
-class SrlArg:
-    role: str
-    span: tuple[int, int]
-    text: str
+class SrlArg(namedtuple("SrlArg", "role span text")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SrlFrame:
-    predicate_span: tuple[int, int]
-    predicate_text: str
-    args: tuple[SrlArg, ...]
+class SrlFrame(namedtuple("SrlFrame", "predicate_span predicate_text args")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SrlDoc:
-    sentence_index: int
-    frames: tuple[SrlFrame, ...]
+class SrlDoc(namedtuple("SrlDoc", "sentence_index frames")):
+    __slots__ = ()
 
 
 def load_srl(path) -> list[SrlDoc]:

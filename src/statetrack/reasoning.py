@@ -19,7 +19,6 @@ exported actions and the exported grid can never disagree.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
 
 from .abstraction import PassiveLocationFact, abstract_events
 from .corpus import (
@@ -38,22 +37,29 @@ from .rules import LocalDecision, apply_rules, match_argument
 logger = logging.getLogger(__name__)
 
 
-@dataclass
 class EntityTimeline:
-    entity: Entity
-    num_steps: int
-    slots: dict[int, list[LocalDecision]]
-    passive: list[PassiveLocationFact]
+    """One entity's local decisions per step and its passive facts."""
+
+    __slots__ = ("entity", "num_steps", "slots", "passive")
+
+    def __init__(self, entity: Entity, num_steps: int, slots: dict[int, list[LocalDecision]],
+                 passive: list[PassiveLocationFact]):
+        self.entity = entity
+        self.num_steps = num_steps
+        self.slots = slots
+        self.passive = passive
 
 
-@dataclass
 class FixedSequence:
     """A fixed action sequence, the inferred pre-process location and the
     resolved location row (initial location first)."""
 
-    actions: list[StepAction]
-    initial_location: str
-    row: list[str]
+    __slots__ = ("actions", "initial_location", "row")
+
+    def __init__(self, actions: list[StepAction], initial_location: str, row: list[str]):
+        self.actions = actions
+        self.initial_location = initial_location
+        self.row = row
 
 
 def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[StepAction]:
@@ -140,7 +146,7 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> Fi
     for t in range(1, m + 1):
         a = acts[t - 1]
         if a.action is not Action.NONE and a.from_loc is None and t in passive:
-            acts[t - 1] = replace(a, from_loc=passive[t])
+            acts[t - 1] = StepAction(a.action, from_loc=passive[t], to_loc=a.to_loc)
 
     initial = UNKNOWN
     if any(a.action is Action.CREATE for a in acts):
@@ -169,7 +175,7 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> Fi
                 if nxt.action is Action.NONE and u in passive:
                     target = passive[u]
                     break
-        acts[t - 1] = replace(a, to_loc=target)
+        acts[t - 1] = StepAction(a.action, from_loc=a.from_loc, to_loc=target)
 
     row = [initial]
     for t in range(1, m + 1):
@@ -189,7 +195,9 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> Fi
                     break
                 entering = acts[i - 1]
                 if entering.action is not Action.NONE:
-                    acts[i - 1] = replace(entering, to_loc=fill)
+                    acts[i - 1] = StepAction(
+                        entering.action, from_loc=entering.from_loc, to_loc=fill
+                    )
                     break
                 i -= 1
             row.append(fill)

@@ -14,7 +14,7 @@ order; global reasoning resolves them later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abstraction import ArgRef, EventFrame
 from .corpus import Action, Entity, Step, StepAction, spans_overlap
@@ -44,13 +44,11 @@ RULE_NAMES = tuple(dict.fromkeys(
 ))
 
 
-@dataclass(frozen=True)
-class LocalDecision:
-    step_index: int
-    entity: Entity
-    action: StepAction
-    rule: str
-    frame_node: str  # provenance: id of the frame node that fired
+class LocalDecision(namedtuple("LocalDecision", "step_index entity action rule frame_node")):
+    """One rule's decision for one entity at one step; ``frame_node`` is
+    its provenance, the id of the frame node that fired."""
+
+    __slots__ = ()
 
 
 def match_argument(arg: ArgRef, entity: Entity, step_index: int | None = None) -> bool:

@@ -24,12 +24,16 @@ SAME and COREF pairs grow quadratically with the repeats of a phrase,
 bounds the total.  ``render_graph_record`` writes that output in one pass
 over the nodes and edges with fixed templates, rather than through the
 pure-Python encoder ``json.dumps`` uses whenever ``indent`` is set.
+
+Nodes and edges are named tuples: making one is a tuple allocation, and
+the edge index hashes and compares edges in C rather than through
+generated Python methods.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .corpus import (
@@ -57,34 +61,27 @@ STEP_EDGE = "STEP"
 StepMentions = dict[int, list[tuple[str, list[tuple[int, int]]]]]
 
 
-@dataclass(frozen=True)
-class GNode:
-    id: str
-    kind: str  # predicate | entity_mention | noun_phrase | question | step
-    step_index: int | None
-    span: tuple[int, int] | None
-    text: str
+class GNode(namedtuple("GNode", "id kind step_index span text")):
+    """A node; ``kind`` is predicate, entity_mention, noun_phrase, question
+    or step."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GEdge:
-    src: str
-    dst: str
-    type_label: str
+class GEdge(namedtuple("GEdge", "src dst type_label")):
+    __slots__ = ()
 
 
-@dataclass
 class SemanticGraph:
     """Nodes and edges in insertion order.  Grow the graph through
     ``add_node`` and ``add_edge`` only: they keep the id and edge indexes
     built from the initial lists in step with the lists."""
 
-    nodes: list[GNode] = field(default_factory=list)
-    edges: list[GEdge] = field(default_factory=list)
-    _ids: set[str] = field(init=False, repr=False, compare=False)
-    _edge_set: set[GEdge] = field(init=False, repr=False, compare=False)
+    __slots__ = ("nodes", "edges", "_ids", "_edge_set")
 
-    def __post_init__(self) -> None:
+    def __init__(self, nodes: list[GNode] | None = None, edges: list[GEdge] | None = None):
+        self.nodes = [] if nodes is None else nodes
+        self.edges = [] if edges is None else edges
         self._ids = set()
         for node in self.nodes:
             if node.id in self._ids:

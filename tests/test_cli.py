@@ -11,13 +11,18 @@ from statetrack.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _loaded_by_cli_import(*modules: str, argv=None) -> list[str]:
+def _loaded_by_cli_import(*modules: str, argv=None, code: str = "") -> list[str]:
     """Those of ``modules`` a fresh interpreter has loaded after importing
-    statetrack.cli and, given ``argv``, running that command."""
+    statetrack.cli, running ``code`` and, given ``argv``, running that
+    command.  A module the bare interpreter had already loaded (a site hook
+    may load some) is not counted."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    run = "" if argv is None else f"assert statetrack.cli.main({list(map(str, argv))!r}) == 0; "
-    probe = f"import sys, statetrack.cli; {run}print(*[m for m in {modules!r} if m in sys.modules])"
+    run = "" if argv is None else f"assert statetrack.cli.main({list(map(str, argv))!r}) == 0\n"
+    probe = (
+        "import sys\nbare = set(sys.modules)\nimport statetrack.cli\n"
+        f"{code}{run}print(*[m for m in {modules!r} if m in sys.modules and m not in bare])\n"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
@@ -33,6 +38,35 @@ def _predict_args(data_dir, out, extra=()):
         "--output", str(out),
         *extra,
     ]
+
+
+# Every command but gat-check on the fixtures, as the golden-file tests run
+# it: a name -> (data directory, output path) -> argv.
+_FIXTURE_COMMANDS = {
+    "predict": _predict_args,
+    "abstract": lambda d, out: [
+        "abstract", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
+        "--output", out,
+    ],
+    "evaluate": lambda d, out: [
+        "evaluate", "--pred", d / "pred_seeded.tsv", "--corpus", d / "corpus_small.json",
+        "--coref", d / "coref_small.json", "--parses", d / "parses", "--tier", "all",
+        "--output", out,
+    ],
+    "build-graph": lambda d, out: [
+        "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
+        "--parses", d / "parses", "--output", out,
+    ],
+    "build-graph --qa-entity": lambda d, out: [
+        "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
+        "--parses", d / "parses", "--output", out,
+        "--qa-entity", "water", "--qa-entity", "magma", "--qa-entity", "rock",
+    ],
+    "build-graph --parser srl": lambda d, out: [
+        "build-graph", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
+        "--parser", "srl", "--output", out,
+    ],
+}
 
 
 class TestPredict:
@@ -412,6 +446,23 @@ class TestOtherCommands:
         argv = ["build-graph", "--corpus", data_dir / "corpus_predict.json",
                 "--parses", data_dir / "parses", "--output", tmp_path / "graphs.json"]
         assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.reasoning", argv=argv)
+
+    # Records are named tuples and slotted classes, so no command but
+    # gat-check loads dataclasses, nor the inspect module it imports.
+    @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
+    def test_command_loads_no_dataclass_machinery(self, data_dir, tmp_path, command):
+        argv = _FIXTURE_COMMANDS[command](data_dir, tmp_path / "out")
+        assert not _loaded_by_cli_import("dataclasses", "inspect", argv=argv)
+
+    def test_benchmark_setup_loads_no_dataclass_machinery(self):
+        # The set-up probe of bench/run.py (SETUP_CODE): the CLI import plus
+        # the three default configuration files.
+        code = (
+            "from statetrack.abstraction import default_role_synonyms\n"
+            "from statetrack.parses import default_class_map, default_ontology\n"
+            "default_ontology(); default_class_map(); default_role_synonyms()\n"
+        )
+        assert not _loaded_by_cli_import("dataclasses", "inspect", code=code)
 
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0

@@ -12,7 +12,6 @@ with ``strict_destroy`` off and on.
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 from genutil import random_timeline
 from statetrack.abstraction import ArgRef, PassiveLocationFact
@@ -91,7 +90,7 @@ class _Reference:
             if a.action is not Action.NONE and a.from_loc is None:
                 passive = _Reference.passive_locations(timeline, t)
                 if passive:
-                    acts[t - 1] = replace(a, from_loc=passive[0])
+                    acts[t - 1] = StepAction(a.action, from_loc=passive[0], to_loc=a.to_loc)
 
         if any(a.action is Action.CREATE for a in acts):
             initial = NONEXISTENT
@@ -128,12 +127,14 @@ class _Reference:
                         seen["idle_passive_target"] += 1
                         break
             seen["unknown_target"] += target is None
-            acts[t - 1] = replace(a, to_loc=target if target is not None else UNKNOWN)
+            acts[t - 1] = StepAction(
+                a.action, from_loc=a.from_loc, to_loc=target if target is not None else UNKNOWN
+            )
 
         for t in range(1, m + 1):
             a = acts[t - 1]
             if a.action in (Action.MOVE, Action.CREATE) and a.to_loc is None:
-                acts[t - 1] = replace(a, to_loc=UNKNOWN)
+                acts[t - 1] = StepAction(a.action, from_loc=a.from_loc, to_loc=UNKNOWN)
 
         row = [initial]
         for t in range(1, m + 1):
@@ -157,7 +158,9 @@ class _Reference:
                                 break
                             entering = acts[i - 1]
                             if entering.action is not Action.NONE:
-                                acts[i - 1] = replace(entering, to_loc=cur)
+                                acts[i - 1] = StepAction(
+                                    entering.action, from_loc=entering.from_loc, to_loc=cur
+                                )
                                 seen["backward_fill_rewrites_action"] += 1
                                 break
                             i -= 1
