@@ -16,8 +16,7 @@ _EXPORTS = {
                "ontology_class"),
     "abstraction": ("EventFrame", "PassiveLocationFact", "abstract_events"),
     "rules": ("LocalDecision", "apply_rules", "match_argument"),
-    "reasoning": ("EntityTimeline", "FixedSequence", "fix_actions", "predict",
-                  "resolve_locations"),
+    "reasoning": ("EntityTimeline", "fix_actions", "predict", "resolve_locations"),
     "semgraph": ("SemanticGraph", "build_srl_graph", "build_trips_graph", "extend_qa_graph"),
     "metrics": ("MetricReport", "categorize_decisions", "eval_decision_level",
                 "eval_document_level", "eval_sentence_level"),

@@ -253,7 +253,7 @@ def cmd_evaluate(args) -> int:
     from . import metrics
 
     procedures, gold = _load_corpus(args)
-    pred = corpus_mod.grids_from_action_tsv(args.pred)
+    pred = _by_canonical_name(corpus_mod.grids_from_action_tsv(args.pred), args.pred)
     report = metrics.MetricReport()
     if args.tier in ("sentence", "all"):
         report.sentence = metrics.eval_sentence_level(pred, gold)
@@ -279,6 +279,25 @@ def cmd_evaluate(args) -> int:
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
+
+
+def _by_canonical_name(grids: dict, path) -> dict:
+    """Key each predicted row by its entity's canonical name, as the gold
+    rows are keyed, so that a prediction may spell an entity in any case."""
+    for grid in grids.values():
+        where = f"{path}: procedure {grid.procedure_id}"
+        spelled: dict[str, str] = {}
+        for name in grid.rows:
+            try:
+                key = corpus_mod.make_entity(name).canonical_name
+            except SchemaError as exc:
+                raise SchemaError(f"{where}: {exc}") from None
+            if key in spelled:
+                raise SchemaError(f"{where}: entities {spelled[key]!r} and {name!r}"
+                                  f" both normalize to {key!r}")
+            spelled[key] = name
+        grid.rows = {key: grid.rows[name] for key, name in spelled.items()}
+    return grids
 
 
 def cmd_gat_check(args) -> int:

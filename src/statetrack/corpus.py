@@ -592,6 +592,10 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
             for step, span in extra:
                 if not 1 <= step <= proc.num_steps:
                     raise SchemaError(f"{path}: coref step {step} out of range for {proc.id}")
+                if span[0] < 0:
+                    raise SchemaError(
+                        f"{path}: procedure {proc.id}: coref span {span} starts before step {step}"
+                    )
                 if span[1] > len(proc.step(step).tokens):
                     raise SchemaError(f"{path}: coref span {span} exceeds step {step} tokens")
             new_entities.append(ent.with_coref(sorted(set(list(ent.coref_mentions) + extra))))

@@ -1,5 +1,5 @@
-"""Global reasoning: turn per-step local decisions into one consistent
-action sequence and location row per entity.
+"""Global reasoning: turn per-step local decisions into one location row
+per entity.
 
 ``predict`` passes over a procedure's steps once, filing every local
 decision and passive location fact under the entity it concerns as it is
@@ -11,9 +11,9 @@ the decisions carry; a same-step passive fact for a missing from side; the
 first from-location no later than the first move as the initial cell; the
 next from-location, or an idle step's passive fact, as a missing move
 target; "?" for any target still missing; and, while the row is replayed,
-an idle step's passive fact for a carried "?".  A final reconciliation
-derives the action sequence back from the replayed row, so that the
-exported actions and the exported grid can never disagree.
+an idle step's passive fact for a carried "?".  The row is all it returns:
+the exported actions are the transitions of the row
+(``grid_to_action_rows``), so actions and grid cannot disagree.
 """
 
 from __future__ import annotations
@@ -48,18 +48,6 @@ class EntityTimeline:
         self.num_steps = num_steps
         self.slots = slots
         self.passive = passive
-
-
-class FixedSequence:
-    """A fixed action sequence, the inferred pre-process location and the
-    resolved location row (initial location first)."""
-
-    __slots__ = ("actions", "initial_location", "row")
-
-    def __init__(self, actions: list[StepAction], initial_location: str, row: list[str]):
-        self.actions = actions
-        self.initial_location = initial_location
-        self.row = row
 
 
 def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[StepAction]:
@@ -118,8 +106,8 @@ def _same_loc(a: str | None, b: str | None) -> bool:
     return (a or UNKNOWN) == (b or UNKNOWN)
 
 
-def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> FixedSequence:
-    """Fill in locations for a fixed action sequence.
+def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> list[str]:
+    """The location row of a fixed action sequence, initial cell first.
 
     The sources, in the order they are applied (a location an action
     already carries from its frame argument is never overwritten):
@@ -134,56 +122,49 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> Fi
        create gets "?".
     4. While the row is replayed, an idle step carries the previous cell; a
        carried "?" takes that step's first passive fact, which also fills
-       the "?" cells it was carried from, back to the action (its target
-       takes the fill) or the initial cell that started the stretch.
+       the "?" cells it was carried from, back to the cell an action
+       entered or the initial cell that started the stretch.
     """
     m = timeline.num_steps
-    acts = list(actions)
     passive: dict[int, str] = {}
     for fact in timeline.passive:
         passive.setdefault(fact.step_index, fact.location.norm)
 
-    for t in range(1, m + 1):
-        a = acts[t - 1]
-        if a.action is not Action.NONE and a.from_loc is None and t in passive:
-            acts[t - 1] = StepAction(a.action, from_loc=passive[t], to_loc=a.to_loc)
+    kinds = [a.action for a in actions[:m]]
+    origins = [
+        passive.get(t) if a.from_loc is None and a.action is not Action.NONE else a.from_loc
+        for t, a in enumerate(actions[:m], start=1)
+    ]
 
     initial = UNKNOWN
-    if any(a.action is Action.CREATE for a in acts):
+    if any(a.action is Action.CREATE for a in actions):
         initial = NONEXISTENT
     else:
-        for a in acts[:m]:
-            if a.from_loc is not None:
-                initial = a.from_loc
+        for kind, origin in zip(kinds, origins):
+            if origin is not None:
+                initial = origin
                 break
-            if a.action is Action.MOVE:
+            if kind is Action.MOVE:
                 break
-
-    for t in range(1, m + 1):
-        a = acts[t - 1]
-        if a.action not in (Action.CREATE, Action.MOVE) or a.to_loc is not None:
-            continue
-        target = UNKNOWN
-        if a.action is Action.MOVE:
-            for u in range(t + 1, m + 1):
-                nxt = acts[u - 1]
-                if nxt.action is Action.MOVE:
-                    break
-                if nxt.from_loc is not None:
-                    target = nxt.from_loc
-                    break
-                if nxt.action is Action.NONE and u in passive:
-                    target = passive[u]
-                    break
-        acts[t - 1] = StepAction(a.action, from_loc=a.from_loc, to_loc=target)
 
     row = [initial]
     for t in range(1, m + 1):
-        a = acts[t - 1]
-        if a.action in (Action.CREATE, Action.MOVE):
-            row.append(a.to_loc)
-        elif a.action is Action.DESTROY:
+        kind = kinds[t - 1]
+        if kind is Action.DESTROY:
             row.append(NONEXISTENT)
+        elif kind is not Action.NONE:
+            target = actions[t - 1].to_loc
+            if target is None and kind is Action.MOVE:
+                for u in range(t + 1, m + 1):
+                    if kinds[u - 1] is Action.MOVE:
+                        break
+                    if origins[u - 1] is not None:
+                        target = origins[u - 1]
+                        break
+                    if kinds[u - 1] is Action.NONE and u in passive:
+                        target = passive[u]
+                        break
+            row.append(UNKNOWN if target is None else target)
         elif row[-1] == UNKNOWN and t in passive:
             # Nothing happened over the idle stretch, so the entity was
             # already where the fact places it.
@@ -191,19 +172,13 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> Fi
             i = t - 1
             while row[i] == UNKNOWN:
                 row[i] = fill
-                if i == 0:
-                    break
-                entering = acts[i - 1]
-                if entering.action is not Action.NONE:
-                    acts[i - 1] = StepAction(
-                        entering.action, from_loc=entering.from_loc, to_loc=fill
-                    )
+                if i == 0 or kinds[i - 1] is not Action.NONE:
                     break
                 i -= 1
             row.append(fill)
         else:
             row.append(row[-1])
-    return FixedSequence(actions=acts, initial_location=row[0], row=row)
+    return row
 
 
 def predict(
@@ -248,7 +223,7 @@ def predict(
             entity=entity, num_steps=m, slots=slots[name], passive=passive[name]
         )
         fixed = fix_actions(timeline, strict_destroy=strict_destroy)
-        rows[name] = resolve_locations(fixed, timeline).row
+        rows[name] = resolve_locations(fixed, timeline)
     return StateGrid(procedure_id=procedure.id, rows=rows)
 
 

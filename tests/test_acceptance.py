@@ -77,19 +77,20 @@ def test_global_reasoning_rule_suite():
     out = fixed({1: destroy("soil"), 2: destroy("mud")}, strict_destroy=True)
     assert [a.action for a in out] == [Action.DESTROY, Action.NONE]
 
-    seq = resolve_locations(
+    row = resolve_locations(
         _acts((Action.NONE, None, None), (Action.MOVE, None, None),
               (Action.DESTROY, "riverbed", None)),
         _timeline({}, m=3),
     )
-    assert seq.actions[1].to_loc == "riverbed"
-    seq = resolve_locations(
+    assert row[2] == "riverbed"
+    row = resolve_locations(
         _acts((Action.NONE, None, None), (Action.DESTROY, "magma chamber", None)),
         _timeline({}, m=2),
     )
-    assert seq.initial_location == "magma chamber"
-    seq = resolve_locations(_acts((Action.MOVE, None, None)), _timeline({}, m=1))
-    assert seq.actions[0].action is Action.MOVE and seq.actions[0].to_loc == "?"
+    assert row[0] == "magma chamber"
+    row = resolve_locations(_acts((Action.MOVE, None, None)), _timeline({}, m=1))
+    assert row == ["?", "?"]
+    assert [a.action for a in derive_actions(row)] == [Action.NONE]
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -112,8 +113,7 @@ def test_consistency_property_1000_timelines():
         refixed = fix_actions(EntityTimeline(ENTITY, timeline.num_steps, refix_slots, []))
         assert refixed == fixed, "fix_actions not idempotent"
 
-        seq = resolve_locations(fixed, timeline)
-        row = seq.row
+        row = resolve_locations(fixed, timeline)
         assert len(row) == timeline.num_steps + 1
         final_actions = derive_actions(row)
         destroyed_since_create = False

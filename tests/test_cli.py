@@ -227,6 +227,39 @@ class TestEvaluate:
         golden = (data_dir / "golden" / "report_seeded.json").read_bytes()
         assert report_path.read_bytes() == golden
 
+    def _evaluate_seeded(self, data_dir, pred, out):
+        return main([
+            "evaluate",
+            "--pred", str(pred),
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(data_dir / "coref_small.json"),
+            "--parses", str(data_dir / "parses"),
+            "--tier", "all",
+            "--output", str(out),
+        ])
+
+    def test_entity_spelled_in_another_case_scores_as_gold_spelling(self, data_dir, tmp_path):
+        # Predictions are keyed by the entity's canonical name, as gold is.
+        pred = tmp_path / "pred.tsv"
+        seeded = (data_dir / "pred_seeded.tsv").read_text()
+        pred.write_text(seeded.replace("\twater\t", "\tWater\t"))
+        assert "\tWater\t" in pred.read_text()
+        report = tmp_path / "report.json"
+        assert self._evaluate_seeded(data_dir, pred, report) == 0
+        golden = (data_dir / "golden" / "report_seeded.json").read_bytes()
+        assert report.read_bytes() == golden
+
+    def test_two_spellings_of_one_entity_are_exit_4(self, data_dir, tmp_path, capsys):
+        seeded = (data_dir / "pred_seeded.tsv").read_text()
+        water = "".join(line for line in seeded.splitlines(keepends=True) if "\twater\t" in line)
+        pred = tmp_path / "pred.tsv"
+        pred.write_text(seeded + water.replace("\twater\t", "\tThe Water\t"))
+        report = tmp_path / "report.json"
+        assert self._evaluate_seeded(data_dir, pred, report) == 4
+        err = capsys.readouterr().err
+        assert f"{pred}: procedure p1: entities 'water' and 'The Water'" in err
+        assert not report.exists()
+
     def test_non_integer_step_is_exit_4(self, data_dir, tmp_path, capsys):
         lines = (data_dir / "pred_seeded.tsv").read_text().splitlines()
         cols = lines[1].split("\t")
@@ -784,6 +817,27 @@ class TestCorefSidecar:
         err = capsys.readouterr().err
         assert code == 4, err
         assert f"{sidecar}: procedure p2: " in err and repr(entity) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "build-graph"])
+    def test_span_starting_before_the_sentence_is_exit_4(
+        self, data_dir, tmp_path, capsys, command
+    ):
+        sidecar = tmp_path / "coref.json"
+        sidecar.write_text(json.dumps(
+            [{"procedure_id": "p2", "mentions": [{"entity": "magma", "step": 2, "span": [-3, 1]}]}]
+        ))
+        out = tmp_path / "out"
+        code = main([
+            command,
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(sidecar),
+            "--parses", str(data_dir / "parses"),
+            "--output", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert f"{sidecar}: procedure p2: " in err and "(-3, 1)" in err
         assert not out.exists()
 
 

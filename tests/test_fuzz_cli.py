@@ -11,6 +11,10 @@ Mutations: a value swapped for one of another type, a deletion, a
 duplication, a ``null``, a span or index out of range, the file replaced by
 a directory, and non-UTF-8 bytes.  JSON inputs are mutated as JSON values,
 TSV and text inputs as lines and tab-separated fields.
+
+A second property respells one predicted entity in another case for
+``evaluate --pred``: the report keeps its bytes, and the entity spelled
+both ways in one procedure is exit 4.
 """
 
 import copy
@@ -188,3 +192,38 @@ def test_every_command_keeps_its_contract_on_mutated_inputs(data):
             for extra in reruns:
                 assert _run([*argv, *extra, "--output", str(out)]) == (0, ""), extra
                 assert out.read_bytes() == first, (argv, extra)
+
+
+@settings(max_examples=20, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_evaluate_reads_a_case_variant_entity_as_its_canonical_name(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        _write_fixtures(work)
+        argv = _commands(work, data.draw(st.booleans(), label="propara"))["report.out"]
+        out = work / "report.out"
+        assert _run([*argv, "--output", str(out)]) == (0, "")
+        expected = out.read_bytes()
+        out.unlink()
+
+        pred = work / "pred.tsv"
+        rows = [line.split("\t") for line in pred.read_text().splitlines(keepends=True)]
+        pid, name = data.draw(st.sampled_from(sorted({(r[0], r[2]) for r in rows})),
+                              label="entity")
+        variant = getattr(str, data.draw(st.sampled_from(["upper", "title", "swapcase"])))(name)
+        both = data.draw(st.booleans(), label="both spellings")
+        for r in [r for r in rows if (r[0], r[2]) == (pid, name)]:
+            if both:
+                rows.append([*r[:2], variant, *r[3:]])
+            else:
+                r[2] = variant
+        pred.write_text("".join("\t".join(r) for r in rows))
+
+        code, err = _run([*argv, "--output", str(out)])
+        if both:
+            assert code == 4 and "both normalize to" in err, err
+            assert not out.exists()
+        else:
+            assert code == 0, err
+            assert out.read_bytes() == expected

@@ -12,10 +12,11 @@ import statetrack
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # What ``from statetrack import *`` gave when the package imported every
-# module eagerly: the names it re-exported and the modules it loaded.
+# module eagerly: the names it re-exported and the modules it loaded, less
+# ``FixedSequence``, which ``resolve_locations`` no longer returns.
 EXPORTED = [
     "Action", "ActionClass", "ActionClassMap", "Entity", "EntityTimeline", "EventFrame",
-    "FixedSequence", "LocalDecision", "MetricReport", "Ontology", "PassiveLocationFact",
+    "LocalDecision", "MetricReport", "Ontology", "PassiveLocationFact",
     "Procedure", "SemanticGraph", "StateGrid", "Step", "StepAction", "abstract_events",
     "abstraction", "apply_rules", "build_srl_graph", "build_trips_graph",
     "categorize_decisions", "corpus", "derive_actions", "errors", "eval_decision_level",

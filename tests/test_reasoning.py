@@ -142,29 +142,29 @@ class TestResolveLocations:
             (Action.MOVE, None, None),
             (Action.DESTROY, "riverbed", None),
         )
-        seq = resolve_locations(actions, _timeline({}, m=3))
-        assert seq.actions[1].to_loc == "riverbed"
+        row = resolve_locations(actions, _timeline({}, m=3))
+        assert row[2] == "riverbed"
 
     def test_initial_location_from_first_from_loc(self):
         actions = _acts(
             (Action.NONE, None, None),
             (Action.DESTROY, "magma chamber", None),
         )
-        seq = resolve_locations(actions, _timeline({}, m=2))
-        assert seq.initial_location == "magma chamber"
+        row = resolve_locations(actions, _timeline({}, m=2))
+        assert row[0] == "magma chamber"
 
     def test_move_without_any_evidence_targets_unknown(self):
         actions = _acts((Action.MOVE, None, None))
-        seq = resolve_locations(actions, _timeline({}, m=1))
-        assert seq.actions[0].action is Action.MOVE
-        assert seq.actions[0].to_loc == "?"
-        assert seq.initial_location == "?"
+        row = resolve_locations(actions, _timeline({}, m=1))
+        assert row == ["?", "?"]
+        # The grid cannot show a move between two unknown cells, so the
+        # exported action is NONE.
+        assert [a.action for a in derive_actions(row)] == [Action.NONE]
 
     def test_created_entity_starts_nonexistent(self):
         actions = _acts((Action.CREATE, None, "pond"))
-        seq = resolve_locations(actions, _timeline({}, m=1))
-        assert seq.initial_location == "-"
-        assert seq.row == ["-", "pond"]
+        row = resolve_locations(actions, _timeline({}, m=1))
+        assert row == ["-", "pond"]
 
     def test_from_loc_after_first_move_not_used_as_initial(self):
         # A later from-location describes a post-move position; the start
@@ -174,17 +174,17 @@ class TestResolveLocations:
             (Action.NONE, None, None),
             (Action.DESTROY, "valley", None),
         )
-        seq = resolve_locations(actions, _timeline({}, m=3))
-        assert seq.initial_location == "?"
-        assert seq.actions[0].to_loc == "valley"
+        row = resolve_locations(actions, _timeline({}, m=3))
+        assert row[0] == "?"
+        assert row[1] == "valley"
 
     def test_known_target_never_overwritten(self):
         actions = _acts(
             (Action.MOVE, None, "lake"),
             (Action.DESTROY, "swamp", None),
         )
-        seq = resolve_locations(actions, _timeline({}, m=2))
-        assert seq.actions[0].to_loc == "lake"
+        row = resolve_locations(actions, _timeline({}, m=2))
+        assert row[1] == "lake"
 
     def test_idle_passive_fact_fills_backwards(self):
         # "the book on the shelf" stated at step 2 with no action: the book
@@ -193,13 +193,13 @@ class TestResolveLocations:
 
         fact = PassiveLocationFact(2, ArgRef("thing", None, "N1"), ArgRef("shelf", None, "N2"))
         timeline = _timeline({}, m=3, passive=[fact])
-        seq = resolve_locations(_acts(
+        row = resolve_locations(_acts(
             (Action.NONE, None, None),
             (Action.NONE, None, None),
             (Action.NONE, None, None),
         ), timeline)
-        assert seq.row == ["shelf", "shelf", "shelf", "shelf"]
-        final_actions = derive_actions(seq.row)
+        assert row == ["shelf", "shelf", "shelf", "shelf"]
+        final_actions = derive_actions(row)
         assert all(a.action is Action.NONE for a in final_actions)
 
     def test_idle_passive_fill_stops_at_actions(self):
@@ -207,27 +207,26 @@ class TestResolveLocations:
 
         fact = PassiveLocationFact(3, ArgRef("thing", None, "N1"), ArgRef("mud", None, "N2"))
         timeline = _timeline({}, m=3, passive=[fact])
-        seq = resolve_locations(_acts(
+        row = resolve_locations(_acts(
             (Action.MOVE, None, None),
             (Action.NONE, None, None),
             (Action.NONE, None, None),
         ), timeline)
         # the passive fact becomes the target of the earlier targetless move
-        assert seq.actions[0].to_loc == "mud"
-        assert seq.row == ["?", "mud", "mud", "mud"]
+        assert row == ["?", "mud", "mud", "mud"]
+        assert derive_actions(row)[0] == StepAction(Action.MOVE, from_loc="?", to_loc="mud")
 
     def test_idle_passive_fill_absorbed_by_unlocated_create(self):
         from statetrack.abstraction import ArgRef, PassiveLocationFact
 
         fact = PassiveLocationFact(2, ArgRef("thing", None, "N1"), ArgRef("nest", None, "N2"))
         timeline = _timeline({}, m=2, passive=[fact])
-        seq = resolve_locations(_acts(
+        row = resolve_locations(_acts(
             (Action.CREATE, None, None),
             (Action.NONE, None, None),
         ), timeline)
-        assert seq.row == ["-", "nest", "nest"]
-        assert seq.actions[0].to_loc == "nest"
-        final_actions = derive_actions(seq.row)
+        assert row == ["-", "nest", "nest"]
+        final_actions = derive_actions(row)
         assert [a.action for a in final_actions] == [Action.CREATE, Action.NONE]
 
 
@@ -339,8 +338,7 @@ def _reference_predict(procedure, lf_graphs, ontology, class_map, synonyms):
             rows[entity.canonical_name] = [UNKNOWN] * (m + 1)
             continue
         timeline = EntityTimeline(entity=entity, num_steps=m, slots=slots, passive=passive)
-        seq = resolve_locations(fix_actions(timeline), timeline)
-        rows[entity.canonical_name] = seq.row
+        rows[entity.canonical_name] = resolve_locations(fix_actions(timeline), timeline)
     return StateGrid(procedure_id=procedure.id, rows=rows)
 
 
@@ -477,18 +475,16 @@ class TestConsistency:
         for _ in range(300):
             timeline = random_timeline(rng)
             fixed = fix_actions(timeline)
-            seq = resolve_locations(fixed, timeline)
-            row = seq.row
+            row = resolve_locations(fixed, timeline)
             assert len(row) == timeline.num_steps + 1
             final_actions = derive_actions(row)
             _assert_sequence_invariants(row, final_actions)
 
     def test_reconciliation_rewrites_inexpressible_move(self):
-        # A lone move with no evidence cannot show up in the grid; the
-        # exported action sequence demotes it.
+        # A lone move with no evidence cannot show up in the grid: its row
+        # is unknown on both sides, so the action derived from it is NONE.
         actions = _acts((Action.MOVE, None, None))
-        seq = resolve_locations(actions, _timeline({}, m=1))
-        row = seq.row
+        row = resolve_locations(actions, _timeline({}, m=1))
         final_actions = derive_actions(row)
         assert row == ["?", "?"]
         assert [a.action for a in final_actions] == [Action.NONE]
