@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "corpus": ("Action", "Entity", "Procedure", "StateGrid", "Step", "StepAction",
                "derive_actions", "find_mentions", "load_procedures", "normalize"),
-    "parses": ("ActionClass", "Ontology", "ActionClassMap", "load_srl", "load_trips",
-               "ontology_class"),
+    "parses": ("ActionClass", "load_srl", "load_trips", "ontology_class"),
     "abstraction": ("EventFrame", "PassiveLocationFact", "abstract_events"),
     "rules": ("LocalDecision", "apply_rules", "match_argument"),
     "reasoning": ("EntityTimeline", "fix_actions", "predict", "resolve_locations"),

@@ -13,11 +13,8 @@ from collections import namedtuple
 from .corpus import normalize
 from .parses import (
     ActionClass,
-    ActionClassMap,
     LogicalFormGraph,
-    Ontology,
-    _config_path,
-    _read_pairs_tsv,
+    default_role_synonyms,  # noqa: F401 - re-exported: callers import it from here
     ontology_class,
 )
 
@@ -83,27 +80,8 @@ class PassiveLocationFact(namedtuple("PassiveLocationFact", "step_index holder l
         return {"step": self.step_index, "holder": self.holder.text, "location": self.location.text}
 
 
-class RoleSynonyms:
-    """Maps raw edge labels to canonical roles or location categories."""
-
-    def __init__(self, entries: dict[str, str]):
-        self.entries = {k.upper(): v.upper() for k, v in entries.items()}
-
-    @classmethod
-    def from_file(cls, path) -> "RoleSynonyms":
-        pairs = _read_pairs_tsv(path, "role-synonym file", ("raw_label", "target"))
-        return cls({label: target for _, label, target in pairs})
-
-    def canonical(self, raw_label: str) -> str:
-        label = raw_label.upper()
-        return self.entries.get(label, label)
-
-
-def default_role_synonyms(path=None) -> RoleSynonyms:
-    return RoleSynonyms.from_file(_config_path("role_synonyms.tsv", path))
-
-
-def frame_nodes(graph: LogicalFormGraph, ontology: Ontology, class_map: ActionClassMap):
+def frame_nodes(graph: LogicalFormGraph, ontology: dict[str, str],
+                class_map: dict[str, ActionClass]):
     """Yield (node, action class) for every node that makes an event frame:
     a predicate node whose type resolves to a class other than OTHER."""
     for node in graph.nodes:
@@ -115,9 +93,9 @@ def frame_nodes(graph: LogicalFormGraph, ontology: Ontology, class_map: ActionCl
 
 def abstract_events(
     graph: LogicalFormGraph,
-    ontology: Ontology,
-    class_map: ActionClassMap,
-    synonyms: RoleSynonyms,
+    ontology: dict[str, str],
+    class_map: dict[str, ActionClass],
+    synonyms: dict[str, str],
 ) -> tuple[list[EventFrame], list[PassiveLocationFact]]:
     """Extract event frames and passive location facts from one parse.
 
@@ -140,7 +118,7 @@ def abstract_events(
         for edge in graph.out_edges(node.id):
             target = graph.node(edge.dst)
             arg = ArgRef(text=target.word, span=target.span, node_id=target.id)
-            category = synonyms.canonical(edge.label)
+            category = synonyms.get(edge.label, edge.label)
             if cls is ActionClass.DESTROY and category in _LOCATION_CATEGORIES:
                 if frame.from_loc is None:
                     frame.from_loc = arg
@@ -158,7 +136,7 @@ def abstract_events(
         if node.is_predicate:
             continue
         for edge in graph.out_edges(node.id):
-            if synonyms.canonical(edge.label) != LOCATION:
+            if synonyms.get(edge.label, edge.label) != LOCATION:
                 continue
             target = graph.node(edge.dst)
             if target.is_predicate or not target.word:

@@ -22,7 +22,10 @@ from pathlib import Path
 # imports the modules that it alone uses, so it loads no other command's.
 from . import corpus as corpus_mod
 from .errors import ConfigError, InputFileError, SchemaError
-from .parses import default_class_map, default_ontology, load_srl, load_trips, parses_by_step
+from .parses import (
+    default_class_map, default_ontology, default_role_synonyms, load_srl, load_trips,
+    parses_by_step,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -137,12 +140,8 @@ def _parse_file(parse_dir: str, procedure_id: str, kind: str) -> Path:
 
 
 def _load_configs(args):
-    from .abstraction import default_role_synonyms
-
-    ontology = default_ontology(args.ontology)
-    class_map = default_class_map(args.classes)
-    synonyms = default_role_synonyms(args.roles)
-    return ontology, class_map, synonyms
+    return (default_ontology(args.ontology), default_class_map(args.classes),
+            default_role_synonyms(args.roles))
 
 
 def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, strict, procedure):
@@ -253,7 +252,13 @@ def cmd_evaluate(args) -> int:
     from . import metrics
 
     procedures, gold = _load_corpus(args)
-    pred = _by_canonical_name(corpus_mod.grids_from_action_tsv(args.pred), args.pred)
+    pred = corpus_mod.grids_from_action_tsv(args.pred)
+    for grid in pred.values():  # keyed as the gold rows are, so any spelling scores alike
+        try:
+            names = corpus_mod.canonical_names(grid.rows)
+        except SchemaError as exc:
+            raise SchemaError(f"{args.pred}: procedure {grid.procedure_id}: {exc}") from None
+        grid.rows = {key: grid.rows[name] for key, name in names.items()}
     report = metrics.MetricReport()
     if args.tier in ("sentence", "all"):
         report.sentence = metrics.eval_sentence_level(pred, gold)
@@ -279,25 +284,6 @@ def cmd_evaluate(args) -> int:
     else:
         sys.stdout.write(rendered)
     return EXIT_OK
-
-
-def _by_canonical_name(grids: dict, path) -> dict:
-    """Key each predicted row by its entity's canonical name, as the gold
-    rows are keyed, so that a prediction may spell an entity in any case."""
-    for grid in grids.values():
-        where = f"{path}: procedure {grid.procedure_id}"
-        spelled: dict[str, str] = {}
-        for name in grid.rows:
-            try:
-                key = corpus_mod.make_entity(name).canonical_name
-            except SchemaError as exc:
-                raise SchemaError(f"{where}: {exc}") from None
-            if key in spelled:
-                raise SchemaError(f"{where}: entities {spelled[key]!r} and {name!r}"
-                                  f" both normalize to {key!r}")
-            spelled[key] = name
-        grid.rows = {key: grid.rows[name] for key, name in spelled.items()}
-    return grids
 
 
 def cmd_gat_check(args) -> int:

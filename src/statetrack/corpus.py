@@ -209,6 +209,19 @@ def make_entity(raw_name: str) -> Entity:
     return Entity(canonical_name=aliases[0], aliases=aliases)
 
 
+def canonical_names(rows) -> dict[str, str]:
+    """Each grid row's raw entity name, keyed by the canonical name it
+    normalizes to.  Two names that normalize alike are a SchemaError: one
+    row would silently replace the other."""
+    spelled: dict[str, str] = {}
+    for name in rows:
+        key = make_entity(name).canonical_name
+        if key in spelled:
+            raise SchemaError(f"entities {spelled[key]!r} and {name!r} both normalize to {key!r}")
+        spelled[key] = name
+    return spelled
+
+
 # ---------------------------------------------------------------------------
 # Gold action derivation
 
@@ -503,10 +516,10 @@ def _procedure_and_grid(
         seen_names.add(ent.canonical_name)
         entities.append(ent)
     rows: dict[str, list[str]] = {}
-    for raw_name, cells in raw_grid.items():
-        key = make_entity(raw_name).canonical_name
+    for key, raw_name in canonical_names(raw_grid).items():
         if key not in seen_names:
             raise SchemaError(f"grid row for unknown entity {raw_name!r}")
+        cells = raw_grid[raw_name]
         if len(as_str_list(cells, "gold_grid row")) != m + 1:
             raise SchemaError(f"entity {key!r}: expected {m + 1} cells, got {len(cells)}")
         rows[key] = [normalize(c) for c in cells]
@@ -555,7 +568,9 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
 
 def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
     """Attach sidecar coreference mentions to the matching procedures.  A
-    mention's ``entity`` must name an alias of an entity of its procedure."""
+    mention's ``entity`` must name an alias of an entity of its procedure,
+    and its step and span must lie within that procedure's steps; every
+    error names the file and, once its id is read, the procedure."""
     source = str(path)
     by_id = {p.id: p for p in procedures}
     mentions: dict[str, dict[str, list]] = {}
@@ -565,8 +580,8 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
             raw_id = as_id(require_key(obj, "procedure_id", "coref record"), "procedure_id")
             if raw_id not in by_id:
                 raise SchemaError(f"coref for unknown procedure {raw_id!r}")
-            pid = raw_id
-            aliases = {alias for ent in by_id[pid].entities for alias in ent.aliases}
+            pid, proc = raw_id, by_id[raw_id]
+            aliases = {alias for ent in proc.entities for alias in ent.aliases}
             for men in as_list(obj.get("mentions", []), "mentions"):
                 raw_name = as_str(require_key(men, "entity", "mention"), "mention entity")
                 ent_name = normalize(raw_name)
@@ -576,6 +591,12 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
                 span = as_span(require_key(men, "span", "mention"), "mention span")
                 if span[0] >= span[1]:
                     raise SchemaError(f"bad span {span} for {ent_name!r}")
+                if not 1 <= step <= proc.num_steps:
+                    raise SchemaError(f"coref step {step} out of range")
+                if span[0] < 0:
+                    raise SchemaError(f"coref span {span} starts before step {step}")
+                if span[1] > len(proc.step(step).tokens):
+                    raise SchemaError(f"coref span {span} exceeds step {step} tokens")
                 mentions.setdefault(pid, {}).setdefault(ent_name, []).append((step, span))
         except SchemaError as exc:
             where = source if pid is None else f"{source}: procedure {pid}"
@@ -589,15 +610,6 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
         new_entities = []
         for ent in proc.entities:
             extra = [m for alias in ent.aliases for m in per_entity.get(alias, [])]
-            for step, span in extra:
-                if not 1 <= step <= proc.num_steps:
-                    raise SchemaError(f"{path}: coref step {step} out of range for {proc.id}")
-                if span[0] < 0:
-                    raise SchemaError(
-                        f"{path}: procedure {proc.id}: coref span {span} starts before step {step}"
-                    )
-                if span[1] > len(proc.step(step).tokens):
-                    raise SchemaError(f"{path}: coref span {span} exceeds step {step} tokens")
             new_entities.append(ent.with_coref(sorted(set(list(ent.coref_mentions) + extra))))
         out.append(Procedure(proc.id, proc.steps, tuple(new_entities)))
     return out

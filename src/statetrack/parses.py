@@ -2,8 +2,10 @@
 and role-labeled edges, plus shallow predicate-argument frames.
 
 The parsers themselves are external systems; this module only loads and
-validates their output, and resolves ontology types to action classes by
-walking the type hierarchy upward until a mapped ancestor is found.
+validates their output.  It also loads the three configuration tables
+(ontology, action classes, role synonyms) and resolves ontology types to
+action classes by walking the type hierarchy upward until a mapped ancestor
+is found.
 """
 
 from __future__ import annotations
@@ -213,37 +215,10 @@ def parses_by_step(procedure, parses) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Ontology and action-class resolution
+# Action-class resolution and the configuration tables
 
-class Ontology:
-    """A forest of types, child -> single parent."""
-
-    def __init__(self, parents: dict[str, str]):
-        self.parents = {k.upper(): v.upper() for k, v in parents.items()}
-
-    @classmethod
-    def from_file(cls, path) -> "Ontology":
-        pairs = _read_pairs_tsv(path, "ontology file", ("child", "parent"))
-        return cls({child: parent for _, child, parent in pairs})
-
-
-class ActionClassMap:
-    def __init__(self, entries: dict[str, ActionClass]):
-        self.entries = {k.upper(): v for k, v in entries.items()}
-
-    @classmethod
-    def from_file(cls, path) -> "ActionClassMap":
-        entries: dict[str, ActionClass] = {}
-        for lineno, onto_type, cls_name in _read_pairs_tsv(
-            path, "action-class map", ("type", "class")
-        ):
-            if cls_name not in ("CREATE", "MOVE", "DESTROY", "CHANGE"):
-                raise SchemaError(f"{path}:{lineno}: unknown class {cls_name!r}")
-            entries[onto_type] = ActionClass(cls_name)
-        return cls(entries)
-
-
-def ontology_class(onto_type: str, ontology: Ontology, class_map: ActionClassMap) -> ActionClass:
+def ontology_class(onto_type: str, ontology: dict[str, str],
+                   class_map: dict[str, ActionClass]) -> ActionClass:
     """Resolve a type to its action class via the nearest mapped ancestor.
 
     A direct entry wins; otherwise the walk goes strictly upward through the
@@ -252,47 +227,53 @@ def ontology_class(onto_type: str, ontology: Ontology, class_map: ActionClassMap
     """
     seen = set()
     current = onto_type.upper()
-    while current not in class_map.entries:
+    while current not in class_map:
         seen.add(current)
-        current = ontology.parents.get(current)
+        current = ontology.get(current)
         if current is None:
             return ActionClass.OTHER
         if current in seen:
             raise SchemaError(f"ontology cycle detected at {current!r}")
-    return class_map.entries[current]
+    return class_map[current]
 
 
-# ---------------------------------------------------------------------------
-# Default configuration files (shipped as editable data, overridable via the
-# STATETRACK_CONFIG_DIR environment variable)
+def default_ontology(path=None) -> dict[str, str]:
+    """Each type's parent type."""
+    return _read_config("ontology.tsv", path, "ontology file", ("child", "parent"))
 
-def _read_pairs_tsv(path, what: str, columns: tuple[str, str]) -> list[tuple[int, str, str]]:
-    """(line number, key, value) for every two-column line of a config TSV,
-    upper-cased; blank and "#" lines are skipped and a repeated key is
-    rejected rather than silently overriding the earlier line."""
-    out = []
-    seen: set[str] = set()
+
+def default_class_map(path=None) -> dict[str, ActionClass]:
+    """Each mapped type's action class: CREATE, MOVE, DESTROY or CHANGE."""
+    names = _read_config("action_classes.tsv", path, "action-class map", ("type", "class"),
+                         allowed=("CREATE", "MOVE", "DESTROY", "CHANGE"))
+    return {onto_type: ActionClass(name) for onto_type, name in names.items()}
+
+
+def default_role_synonyms(path=None) -> dict[str, str]:
+    """Each raw edge label's canonical role or location category."""
+    return _read_config("role_synonyms.tsv", path, "role-synonym file", ("raw_label", "target"))
+
+
+def _read_config(name: str, path, what: str, columns: tuple[str, str],
+                 allowed: tuple[str, ...] | None = None) -> dict[str, str]:
+    """The key -> value table of a two-column config TSV: ``path``, else the
+    file ``name`` under $STATETRACK_CONFIG_DIR, else the shipped one.  Both
+    columns are upper-cased here, once (the parse loader upper-cases node
+    types and edge labels, so lookups fold no case).  Blank and "#" lines
+    are skipped.  A repeated key is rejected, not left to override the
+    earlier line, and so is a value outside ``allowed``."""
+    if path is not None:
+        path = Path(path)
+    elif os.environ.get(CONFIG_DIR_ENV):
+        path = Path(os.environ[CONFIG_DIR_ENV]) / name
+    else:
+        path = Path(__file__).parent / "data" / name
+    table: dict[str, str] = {}
     for lineno, fields in read_tsv(path, what, columns, comments=True):
         key, value = (f.strip().upper() for f in fields)
-        if key in seen:
+        if key in table:
             raise SchemaError(f"{path}:{lineno}: duplicate {columns[0]} {key!r}")
-        seen.add(key)
-        out.append((lineno, key, value))
-    return out
-
-
-def _config_path(name: str, override) -> Path:
-    if override is not None:
-        return Path(override)
-    env_dir = os.environ.get(CONFIG_DIR_ENV)
-    if env_dir:
-        return Path(env_dir) / name
-    return Path(__file__).parent / "data" / name
-
-
-def default_ontology(path=None) -> Ontology:
-    return Ontology.from_file(_config_path("ontology.tsv", path))
-
-
-def default_class_map(path=None) -> ActionClassMap:
-    return ActionClassMap.from_file(_config_path("action_classes.tsv", path))
+        if allowed is not None and value not in allowed:
+            raise SchemaError(f"{path}:{lineno}: unknown {columns[1]} {value!r}")
+        table[key] = value
+    return table

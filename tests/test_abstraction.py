@@ -125,3 +125,31 @@ def test_role_text_matches_node_word(data_dir, cfg):
     for frame in frames:
         for ref in frame.roles.values():
             assert ref.text == by_id[ref.node_id].word
+
+
+def test_lower_case_labels_and_types_abstract_alike(tmp_path, data_dir, cfg):
+    # The parse loader is the one place that case-folds edge labels and node
+    # types; the tables are looked up with the folded text as it stands.
+    def abstracted(path):
+        out = []
+        for g in load_trips(path):
+            frames, facts = abstract_events(g, *cfg)
+            out.append(([f.to_dict() for f in frames], [f.to_dict() for f in facts]))
+        return out
+
+    lowered_text = set()
+    for path in sorted((data_dir / "parses").glob("*.trips.json")):
+        doc = json.loads(path.read_text())
+        for sentence in doc:
+            for node in sentence["nodes"]:
+                node["type"] = node["type"].lower()
+                lowered_text.add(node["type"])
+            for edge in sentence["edges"]:
+                edge["label"] = edge["label"].lower()
+                lowered_text.add(edge["label"])
+        lowered = tmp_path / path.name
+        lowered.write_text(json.dumps(doc))
+        expected = abstracted(path)
+        assert any(frames for frames, _ in expected), path.name
+        assert abstracted(lowered) == expected, path.name
+    assert {"goal", "affected", "move"} <= lowered_text

@@ -799,6 +799,25 @@ def test_repeated_procedure_id_is_exit_4(data_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["predict", "build-graph"])
+def test_gold_rows_that_normalize_alike_are_exit_4(tmp_path, capsys, command):
+    # Both rows key the one entity "water"; the last used to win silently.
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{
+        "id": "w1", "steps": [{"index": 1, "text": "Water rises."}], "entities": ["water"],
+        "gold_grid": {"water": ["lake", "sky"], "The Water": ["soil", "-"]},
+    }]))
+    out = tmp_path / "out"
+    code = main([command, "--corpus", str(corpus), "--parses", str(tmp_path),
+                 "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: procedure w1: entities 'water' and 'The Water'"
+        " both normalize to 'water'\n"
+    )
+    assert not out.exists()
+
+
 class TestCorefSidecar:
     @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
     def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, capsys, entity):
@@ -838,6 +857,30 @@ class TestCorefSidecar:
         err = capsys.readouterr().err
         assert code == 4, err
         assert f"{sidecar}: procedure p2: " in err and "(-3, 1)" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("step, span, message", [
+        (9, [0, 1], "coref step 9 out of range"),
+        (2, [0, 99], "coref span (0, 99) exceeds step 2 tokens"),
+    ])
+    def test_mention_outside_its_sentence_names_the_procedure(
+        self, data_dir, tmp_path, capsys, step, span, message
+    ):
+        sidecar = tmp_path / "coref.json"
+        sidecar.write_text(json.dumps(
+            [{"procedure_id": "p2", "mentions": [{"entity": "magma", "step": step, "span": span}]}]
+        ))
+        out = tmp_path / "out"
+        code = main([
+            "predict",
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--coref", str(sidecar),
+            "--parses", str(data_dir / "parses"),
+            "--output", str(out),
+        ])
+        assert code == 4
+        assert capsys.readouterr().err == f"error: {sidecar}: procedure p2: {message}\n"
         assert not out.exists()
 
 

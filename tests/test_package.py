@@ -13,10 +13,11 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # What ``from statetrack import *`` gave when the package imported every
 # module eagerly: the names it re-exported and the modules it loaded, less
-# ``FixedSequence``, which ``resolve_locations`` no longer returns.
+# ``FixedSequence``, which ``resolve_locations`` no longer returns, and
+# ``Ontology`` and ``ActionClassMap``: the configuration tables are plain dicts.
 EXPORTED = [
-    "Action", "ActionClass", "ActionClassMap", "Entity", "EntityTimeline", "EventFrame",
-    "LocalDecision", "MetricReport", "Ontology", "PassiveLocationFact",
+    "Action", "ActionClass", "Entity", "EntityTimeline", "EventFrame",
+    "LocalDecision", "MetricReport", "PassiveLocationFact",
     "Procedure", "SemanticGraph", "StateGrid", "Step", "StepAction", "abstract_events",
     "abstraction", "apply_rules", "build_srl_graph", "build_trips_graph",
     "categorize_decisions", "corpus", "derive_actions", "errors", "eval_decision_level",

@@ -3,14 +3,12 @@ import random
 
 import pytest
 
-from statetrack.abstraction import RoleSynonyms
 from statetrack.errors import SchemaError
 from statetrack.parses import (
     ActionClass,
-    ActionClassMap,
-    Ontology,
     default_class_map,
     default_ontology,
+    default_role_synonyms,
     load_srl,
     load_trips,
     ontology_class,
@@ -323,17 +321,17 @@ class TestOntologyClass:
         assert ontology_class("FLUIDIC-MOTION", ont, cmap) is ActionClass.MOVE
 
     def test_direct_hit_wins(self):
-        ont = Ontology({"DESTROY": "EVENT"})
-        cmap = ActionClassMap({"DESTROY": ActionClass.DESTROY, "EVENT": ActionClass.CHANGE})
+        ont = {"DESTROY": "EVENT"}
+        cmap = {"DESTROY": ActionClass.DESTROY, "EVENT": ActionClass.CHANGE}
         assert ontology_class("DESTROY", ont, cmap) is ActionClass.DESTROY
 
     def test_unmapped_is_other(self):
         assert ontology_class("COGITATION", default_ontology(), default_class_map()) is ActionClass.OTHER
 
     def test_cycle_detected(self):
-        ont = Ontology({"A": "B", "B": "A"})
+        ont = {"A": "B", "B": "A"}
         with pytest.raises(SchemaError, match="cycle"):
-            ontology_class("A", ont, ActionClassMap({}))
+            ontology_class("A", ont, {})
 
     def test_monotonicity_property(self):
         # Every descendant with no closer mapped ancestor resolves like its
@@ -345,13 +343,11 @@ class TestOntologyClass:
             parents = {}
             for i in range(1, n):
                 parents[names[i]] = names[rng.randrange(0, i)]  # acyclic by construction
-            ont = Ontology(parents)
             mapped = {
                 name: rng.choice(list(ActionClass)[:4])
                 for name in names
                 if rng.random() < 0.3
             }
-            cmap = ActionClassMap(mapped)
             for name in names:
                 chain = []
                 cur = name
@@ -363,24 +359,34 @@ class TestOntologyClass:
                 expected = next(
                     (mapped[c] for c in chain if c in mapped), ActionClass.OTHER
                 )
-                assert ontology_class(name, ont, cmap) is expected
+                assert ontology_class(name, parents, mapped) is expected
 
 
 class TestConfigFiles:
     def test_env_override(self, tmp_path, monkeypatch):
         (tmp_path / "ontology.tsv").write_text("CHILD\tPARENT\n")
         monkeypatch.setenv("STATETRACK_CONFIG_DIR", str(tmp_path))
-        ont = default_ontology()
-        assert ont.parents == {"CHILD": "PARENT"}
+        assert default_ontology() == {"CHILD": "PARENT"}
 
     def test_bad_class_rejected(self, tmp_path):
         path = tmp_path / "classes.tsv"
         path.write_text("MOTION\tTELEPORT\n")
         with pytest.raises(SchemaError, match="TELEPORT"):
-            ActionClassMap.from_file(path)
+            default_class_map(path)
 
     def test_duplicate_role_label_rejected(self, tmp_path):
         path = tmp_path / "role_synonyms.tsv"
         path.write_text("# raw<TAB>target\nGOAL\tTO_LOC\n\ngoal\tFROM_LOC\n")
         with pytest.raises(SchemaError, match=r":4: duplicate raw_label 'GOAL'"):
-            RoleSynonyms.from_file(path)
+            default_role_synonyms(path)
+
+    def test_tables_are_dicts_upper_cased_at_load(self, tmp_path):
+        (tmp_path / "ontology.tsv").write_text("fluidic-motion\tmotion\n")
+        (tmp_path / "classes.tsv").write_text("motion\tmove\n")
+        (tmp_path / "roles.tsv").write_text("goal\tto_loc\n")
+        tables = (default_ontology(tmp_path / "ontology.tsv"),
+                  default_class_map(tmp_path / "classes.tsv"),
+                  default_role_synonyms(tmp_path / "roles.tsv"))
+        assert [type(t) for t in tables] == [dict, dict, dict]
+        assert tables == ({"FLUIDIC-MOTION": "MOTION"}, {"MOTION": ActionClass.MOVE},
+                          {"GOAL": "TO_LOC"})
