@@ -253,12 +253,12 @@ def cmd_evaluate(args) -> int:
 
     procedures, gold = _load_corpus(args)
     pred = corpus_mod.grids_from_action_tsv(args.pred)
-    for grid in pred.values():  # keyed as the gold rows are, so any spelling scores alike
+    for pid, grid in pred.items():  # keyed as the gold rows are, so any spelling scores alike
         try:
             names = corpus_mod.canonical_names(grid.rows)
         except SchemaError as exc:
-            raise SchemaError(f"{args.pred}: procedure {grid.procedure_id}: {exc}") from None
-        grid.rows = {key: grid.rows[name] for key, name in names.items()}
+            raise SchemaError(f"{args.pred}: procedure {pid}: {exc}") from None
+        pred[pid] = grid._replace(rows={key: grid.rows[name] for key, name in names.items()})
     report = metrics.MetricReport()
     if args.tier in ("sentence", "all"):
         report.sentence = metrics.eval_sentence_level(pred, gold)

@@ -126,7 +126,6 @@ class Action(str, Enum):
 
 # Records are tuples with named fields, which cost a fraction of a
 # dataclass to define and to make; they compare, hash and pickle as tuples.
-# The grid, whose rows callers may change, is a plain class with slots.
 
 class StepAction(namedtuple("StepAction", "action from_loc to_loc")):
     """One action applied to one entity at one step.
@@ -175,30 +174,12 @@ class Procedure(namedtuple("Procedure", "id steps entities")):
     def step(self, index: int) -> Step:
         return self.steps[index - 1]
 
-    def entity(self, name: str) -> Entity:
-        for ent in self.entities:
-            if ent.canonical_name == name:
-                return ent
-        raise KeyError(name)
 
+class StateGrid(namedtuple("StateGrid", "procedure_id rows")):
+    """Locations per (entity, step): ``rows`` maps an entity name to its
+    row of num_steps + 1 cells; cell 0 is the pre-process state."""
 
-class StateGrid:
-    """Locations per (entity, step).  Each row has num_steps + 1 cells;
-    cell 0 is the pre-process state."""
-
-    __slots__ = ("procedure_id", "rows")
-
-    def __init__(self, procedure_id: str, rows: dict[str, list[str]]):
-        self.procedure_id = procedure_id
-        self.rows = rows
-
-    def __eq__(self, other):
-        if type(other) is not StateGrid:
-            return NotImplemented
-        return self.procedure_id == other.procedure_id and self.rows == other.rows
-
-    def __repr__(self) -> str:
-        return f"StateGrid(procedure_id={self.procedure_id!r}, rows={self.rows!r})"
+    __slots__ = ()
 
 
 def make_entity(raw_name: str) -> Entity:
@@ -298,12 +279,6 @@ def find_all_mentions(entities, step: Step) -> list[list[tuple[int, int]]]:
             spans = sorted(kept)
         out.append(spans)
     return out
-
-
-def find_mentions(entity: Entity, step: Step) -> list[tuple[int, int]]:
-    """Token spans where one entity is mentioned in a step: the
-    ``find_all_mentions`` of that entity alone."""
-    return find_all_mentions((entity,), step)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +477,7 @@ def _procedure_and_grid(
     m = len(steps)
     entities = []
     seen_names = set()
+    owners: dict[str, str] = {}  # alias -> canonical name of the entity it names
     for e in raw_entities:
         if type(e) is dict:  # {"name": ..., "aliases": [...]}, or the bare name
             raw_name, extra = require_key(e, "name", "entity"), e.get("aliases")
@@ -513,6 +489,12 @@ def _procedure_and_grid(
             ent = Entity(ent.canonical_name, tuple(dict.fromkeys(aliases)))
         if ent.canonical_name in seen_names:
             raise SchemaError(f"duplicate entity {ent.canonical_name!r}")
+        for alias in ent.aliases:
+            owner = owners.setdefault(alias, ent.canonical_name)
+            if owner != ent.canonical_name:
+                raise SchemaError(
+                    f"entities {owner!r} and {ent.canonical_name!r} share the alias {alias!r}"
+                )
         seen_names.add(ent.canonical_name)
         entities.append(ent)
     rows: dict[str, list[str]] = {}

@@ -15,7 +15,10 @@ Every tier classifies a pair of adjacent cells with ``corpus.transition``
 and nothing else.  Cost: one pass per row per tier, so each tier is linear
 in the number of grid cells; the document tier finds conversions through a
 per-step index of created entities instead of comparing entity pairs, and
-the decision tier normalizes each step's tokens once.
+the decision tier reads each step once into a table (every entity's
+mentions, found by ``find_all_mentions`` as ``build-graph`` finds them;
+the normalized tokens; the count of event verbs) and buckets each gold
+decision from that table.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .corpus import (
     Procedure,
     StateGrid,
     exists,
-    find_mentions,
+    find_all_mentions,
     normalize,
     transition,
 )
@@ -231,18 +234,29 @@ def categorize_decisions(
     out: dict[tuple[str, str, int], DecisionCategory] = {}
     for pid in sorted(gold):
         proc = by_id[pid]
-        verbs_per_step = _action_verb_counts(proc, parses.get(pid), ontology, class_map)
-        step_tokens = {step.index: [normalize(t) for t in step.tokens] for step in proc.steps}
+        by_index = parses_by_step(proc, parses.get(pid) or [])
+        names = [e.canonical_name for e in proc.entities]
+        # Each step is read once: its mention spans keyed by entity, its
+        # normalized tokens, its event verbs.  Steps without a gold event
+        # are read too, so an ontology cycle in any parse is an error.
+        steps = {
+            step.index: (
+                dict(zip(names, find_all_mentions(proc.entities, step))),
+                [normalize(token) for token in step.tokens],
+                sum(1 for _ in frame_nodes(by_index[step.index], ontology, class_map)),
+            )
+            for step in proc.steps
+        }
         for ent_name in sorted(gold[pid].rows):
             row = gold[pid].rows[ent_name]
-            entity = proc.entity(ent_name)
             for t in range(1, len(row)):
                 tag = transition(row[t - 1], row[t])
                 if tag is Action.NONE:
                     continue
-                entity_mentioned = bool(find_mentions(entity, proc.step(t)))
+                mentions, tokens, verbs = steps[t]
+                entity_mentioned = bool(mentions[ent_name])
                 location = NONEXISTENT if tag is Action.DESTROY else row[t]
-                location_mentioned = _location_mentioned(location, step_tokens[t])
+                location_mentioned = _location_mentioned(location, tokens)
                 if tag in (Action.MOVE, Action.CREATE):
                     if entity_mentioned and location_mentioned:
                         name = "local"
@@ -254,7 +268,7 @@ def categorize_decisions(
                         name = "global_loc_and_ent"
                 else:
                     name = "global_ent" if not entity_mentioned else "uncategorized"
-                ambiguous = entity_mentioned and verbs_per_step[t] >= 2
+                ambiguous = entity_mentioned and verbs >= 2
                 out[(pid, ent_name, t)] = DecisionCategory(name=name, ambiguous=ambiguous)
     return out
 
@@ -265,15 +279,6 @@ def _location_mentioned(location: str, tokens: list[str]) -> bool:
     loc_tokens = location.split(" ")
     n = len(loc_tokens)
     return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
-
-
-def _action_verb_counts(proc: Procedure, lf_graphs, ontology, class_map) -> dict[int, int]:
-    """Per step, the number of parse nodes that make an event frame."""
-    by_index = parses_by_step(proc, lf_graphs or [])
-    return {
-        step.index: sum(1 for _ in frame_nodes(by_index[step.index], ontology, class_map))
-        for step in proc.steps
-    }
 
 
 class CategoryScore(namedtuple(

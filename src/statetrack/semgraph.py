@@ -41,7 +41,6 @@ from .corpus import (
     Procedure,
     Step,
     find_all_mentions,
-    find_mentions,
     normalize,
     spans_overlap,
     write_output,
@@ -363,7 +362,7 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
     )
     linked = 0
     for step in procedure.steps:
-        spans = find_mentions(entity, step)
+        spans = find_all_mentions((entity,), step)[0]
         for node in by_step.get(step.index, []):
             if node.span is None or node.kind == "predicate":
                 continue

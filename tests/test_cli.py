@@ -818,6 +818,42 @@ def test_gold_rows_that_normalize_alike_are_exit_4(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
+    # A mention of "water" used to count for both entities.
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{
+        "id": "w1", "steps": [{"index": 1, "text": "Water rises."}],
+        "entities": ["water", {"name": "vapor", "aliases": ["steam", "Water"]}],
+        "gold_grid": {"water": ["lake", "sky"], "vapor": ["-", "sky"]},
+    }]))
+    out = tmp_path / "out"
+    code = main(["predict", "--corpus", str(corpus), "--parses", str(tmp_path),
+                 "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: procedure w1: entities 'water' and 'vapor' share the alias 'water'\n"
+    )
+    assert not out.exists()
+
+
+def test_tsv_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "paragraphs.tsv").write_text("7\t1\tRain falls .\n")
+    (corpus / "grids.tsv").write_text(
+        "7\t1\train;water\tMOVE\tsky\tsoil\n7\t1\tsea;Water\tNONE\tbay\tbay\n"
+    )
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("7\t1\train\tMOVE\tsky\tsoil\n7\t1\tsea\tNONE\tbay\tbay\n")
+    code = main(["evaluate", "--pred", str(pred), "--corpus", str(corpus),
+                 "--corpus-format", "propara-tsv", "--tier", "sentence"])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {corpus / 'grids.tsv'}: paragraph 7:"
+        " entities 'rain' and 'sea' share the alias 'water'\n"
+    )
+
+
 class TestCorefSidecar:
     @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
     def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, capsys, entity):

@@ -13,7 +13,6 @@ from statetrack.corpus import (
     StepAction,
     derive_actions,
     find_all_mentions,
-    find_mentions,
     grids_from_action_tsv,
     load_coref,
     load_procedures,
@@ -115,6 +114,12 @@ class TestLoading:
         with pytest.raises(SchemaError, match=r"grids\.tsv: paragraph 7: duplicate entity 'water'"):
             load_procedures(tmp_path, "propara-tsv")
 
+    def test_alias_repeated_within_one_entity_is_kept(self, tmp_path):
+        obj = {**TWO_STEP, "entities": ["water;Water", {"name": "rain", "aliases": ["Rain"]}],
+               "gold_grid": {"water": ["sky", "soil", "?"], "rain": ["-", "sky", "soil"]}}
+        proc, _ = load_procedures(_write_corpus(tmp_path, obj))[0]
+        assert [e.aliases for e in proc.entities] == [("water", "water"), ("rain",)]
+
     def test_propara_tsv_non_integer_sentence_index(self, tmp_path):
         (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\tx\tAgain .\n")
         (tmp_path / "grids.tsv").write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
@@ -208,22 +213,22 @@ class TestMentions:
     def test_exact_match(self):
         step = Step(1, "Magma rises to the surface .", tuple(tokenize("Magma rises to the surface .")))
         entity = Entity("magma", ("magma",))
-        assert find_mentions(entity, step) == [(0, 1)]
+        assert find_all_mentions((entity,), step)[0] == [(0, 1)]
 
     def test_no_surface_match(self):
         step = Step(3, "Gradually mud piles over them", tuple(tokenize("Gradually mud piles over them")))
         entity = Entity("bones", ("bones",))
-        assert find_mentions(entity, step) == []
+        assert find_all_mentions((entity,), step)[0] == []
 
     def test_coref_passthrough(self):
         step = Step(3, "Gradually mud piles over them", tuple(tokenize("Gradually mud piles over them")))
         entity = Entity("bones", ("bones",), coref_mentions=((3, (4, 5)),))
-        assert find_mentions(entity, step) == [(4, 5)]
+        assert find_all_mentions((entity,), step)[0] == [(4, 5)]
 
     def test_multiword_alias_and_no_overlap(self):
         step = Step(1, "The carbon dioxide escapes", tuple(tokenize("The carbon dioxide escapes")))
         entity = Entity("carbon dioxide", ("carbon dioxide", "dioxide"))
-        spans = find_mentions(entity, step)
+        spans = find_all_mentions((entity,), step)[0]
         assert spans == [(1, 3)]
         for i, a in enumerate(spans):
             for b in spans[i + 1 :]:
@@ -231,9 +236,9 @@ class TestMentions:
 
 
 def _scan_mentions(entity, step):
-    """Reference: the per-entity scan find_mentions used before
-    find_all_mentions, which lower-cases the step for every entity and
-    tries every alias at every start position."""
+    """Reference: the per-entity scan used before find_all_mentions, which
+    lower-cases the step for every entity and tries every alias at every
+    start position."""
     tokens = [t.lower() for t in step.tokens]
     spans = []
     for alias in sorted(entity.aliases, key=len, reverse=True):
@@ -275,7 +280,7 @@ def test_find_all_mentions_matches_the_per_entity_scan():
         expected = [_scan_mentions(e, step) for e in entities]
         assert found == expected, (case, tokens, entities)
         for entity, spans in zip(entities, expected):
-            assert find_mentions(entity, step) == spans
+            assert find_all_mentions((entity,), step) == [spans]
             seen_multi += any(b - a > 1 for a, b in spans)
             seen_coref += bool(entity.coref_spans(step.index))
             all_matches = [
@@ -294,7 +299,8 @@ class TestCoref:
     def test_sidecar_attaches(self, data_dir):
         pairs = load_procedures(data_dir / "corpus_small.json")
         procs = load_coref(data_dir / "coref_small.json", [p for p, _ in pairs])
-        magma = next(p for p in procs if p.id == "p2").entity("magma")
+        p2 = next(p for p in procs if p.id == "p2")
+        magma = next(e for e in p2.entities if e.canonical_name == "magma")
         assert magma.coref_mentions == ((2, (0, 1)),)
 
     def test_bad_span_rejected(self, tmp_path, data_dir):

@@ -400,14 +400,16 @@ def _random_corpus(rng):
                 step["tokens"] = words + ["."]
             steps.append(step)
         entities, grid = [], {}
+        unused = rng.sample(ALIASES, len(ALIASES))  # no two entities share an alias
         for name in rng.sample(WORDS, rng.randint(1, 3)):
             roll = rng.random()
             if roll < 0.3:
                 entities.append(name)
             elif roll < 0.6:
-                entities.append({"name": f"{name};{rng.choice(ALIASES)}"})
+                entities.append({"name": f"{name};{unused.pop()}"})
             else:
-                entities.append({"name": name, "aliases": rng.sample(ALIASES, rng.randint(0, 2))})
+                entities.append({"name": name,
+                                 "aliases": [unused.pop() for _ in range(rng.randint(0, 2))]})
             grid[name.upper() if rng.random() < 0.2 else name] = [
                 rng.choice(LOCATIONS) for _ in range(m + 1)
             ]
@@ -661,12 +663,13 @@ def _random_propara(rng):
                  for i in range(1, m + 1)]
         pid = str(k) if rng.random() < 0.3 else f"proc-{k}"
         grid = {}
+        unused = rng.sample(ALIASES, len(ALIASES))  # no two entities share an alias
         for name in rng.sample(WORDS, rng.randint(1, 3)):
             roll = rng.random()
             if roll < 0.2:
                 name = name.title()
             elif roll < 0.4:
-                name = f"{name};{rng.choice(ALIASES)}"
+                name = f"{name};{unused.pop()}"
             grid[name] = [rng.choice(LOCATIONS) for _ in range(m + 1)]
         rows = [(name, f"{pid}\t{t}\t{name}\t{rng.choice(list(Action.__members__))}"
                        f"\t{cells[t - 1]}\t{cells[t]}\n")

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from statetrack.abstraction import frame_nodes
 from statetrack.corpus import (
     NONEXISTENT,
     UNKNOWN,
@@ -14,7 +15,7 @@ from statetrack.corpus import (
     Step,
     derive_actions,
     exists,
-    find_mentions,
+    find_all_mentions,
     grids_from_action_tsv,
     normalize,
 )
@@ -28,7 +29,6 @@ from statetrack.metrics import (
     DocumentScores,
     MetricReport,
     SentenceScores,
-    _action_verb_counts,
     _event_locations,
     _prf,
     categorize_decisions,
@@ -36,7 +36,9 @@ from statetrack.metrics import (
     eval_document_level,
     eval_sentence_level,
 )
-from statetrack.parses import LfNode, LogicalFormGraph, default_class_map, default_ontology
+from statetrack.parses import (
+    LfNode, LogicalFormGraph, default_class_map, default_ontology, parses_by_step,
+)
 
 
 def _grids(spec):
@@ -153,6 +155,18 @@ class TestCategorize:
             categorize_decisions(
                 gold, procedures, parses, default_ontology(), default_class_map()
             )
+
+    def test_ontology_cycle_at_a_step_without_an_event_is_rejected(self):
+        steps = (Step(1, "", ("ice",)), Step(2, "", ("ice",)))
+        procedure = Procedure("c", steps, (Entity("ice", ("ice",)),))
+        gold = {"c": StateGrid("c", {"ice": ["pond", "lake", "lake"]})}
+        parses = {"c": [
+            LogicalFormGraph(1, (), (), None),
+            LogicalFormGraph(2, (LfNode("v", "F", "LOOP", "melt", None),), (), None),
+        ]}
+        ontology = {**default_ontology(), "LOOP": "LOOP2", "LOOP2": "LOOP"}
+        with pytest.raises(SchemaError, match="cycle"):
+            categorize_decisions(gold, [procedure], parses, ontology, default_class_map())
 
 
 class TestDecisionLevel:
@@ -350,22 +364,44 @@ def _ref_location_mentioned(location, step):
     return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
 
 
+def _ref_entity(proc, name):
+    """The entity with this canonical name, by a scan of the procedure's."""
+    for ent in proc.entities:
+        if ent.canonical_name == name:
+            return ent
+    raise KeyError(name)
+
+
+def _ref_mentions(entity, step):
+    """The mention spans of one entity in a step, found for it alone."""
+    return find_all_mentions((entity,), step)[0]
+
+
+def _ref_verb_counts(proc, lf_graphs, ontology, class_map):
+    """Per step, the number of parse nodes that make an event frame."""
+    by_index = parses_by_step(proc, lf_graphs or [])
+    return {
+        step.index: sum(1 for _ in frame_nodes(by_index[step.index], ontology, class_map))
+        for step in proc.steps
+    }
+
+
 def _ref_categorize(gold, procedures, parses, ontology, class_map):
     by_id = {p.id: p for p in procedures}
     out = {}
     for pid in sorted(gold):
         proc = by_id[pid]
-        verbs_per_step = _action_verb_counts(proc, parses.get(pid), ontology, class_map)
+        verbs_per_step = _ref_verb_counts(proc, parses.get(pid), ontology, class_map)
         for ent_name in sorted(gold[pid].rows):
             row = gold[pid].rows[ent_name]
-            entity = proc.entity(ent_name)
+            entity = _ref_entity(proc, ent_name)
             actions = derive_actions(row)
             for t in range(1, len(row)):
                 tag = actions[t - 1].action
                 if tag is Action.NONE:
                     continue
                 step = proc.step(t)
-                entity_mentioned = bool(find_mentions(entity, step))
+                entity_mentioned = bool(_ref_mentions(entity, step))
                 location = NONEXISTENT if tag is Action.DESTROY else row[t]
                 location_mentioned = _ref_location_mentioned(location, step)
                 if tag in (Action.MOVE, Action.CREATE):
@@ -426,10 +462,14 @@ def _ref_decision(pred, gold, categories):
 _CELLS = ["-", "-", "?", "pond", "lake", "big rock"]
 _WORDS = ["The", "a", "ice", "water", "vapor", "pond", "Lake", "big", "rock", "."]
 _VERB_TYPES = ["MOVE", "FORM", "CONSUME", "COOLING", "SLEEP"]
+_NAMES = ["ice", "water", "vapor", "big rock", "pond"]
+_EXTRA_ALIASES = ["lake", "rock", "big", "big lake", "water vapor", "ice pond"]
 
 
 def _random_case(rng):
-    """Random procedures with gold and predicted grids, and their parses."""
+    """Random procedures with gold and predicted grids, and their parses.
+    Entities may have extra aliases, one- or two-word, none shared within a
+    procedure, and coreference mentions."""
     procedures, gold, pred, parses = [], {}, {}, {}
     for p in range(rng.randint(1, 2)):
         pid = f"r{p}"
@@ -438,8 +478,19 @@ def _random_case(rng):
             Step(t, "", tuple(rng.choice(_WORDS) for _ in range(rng.randint(0, 7))))
             for t in range(1, m + 1)
         )
-        names = rng.sample(["ice", "water", "vapor", "big rock", "pond"], rng.randint(1, 5))
-        entities = tuple(Entity(name, (name,)) for name in names)
+        names = rng.sample(_NAMES, rng.randint(1, 5))
+        extra = rng.sample(_EXTRA_ALIASES, len(_EXTRA_ALIASES))
+        entities = []
+        for name in names:
+            aliases = (name, *(extra.pop() for _ in range(rng.randint(0, min(2, len(extra))))))
+            coref = []
+            for _ in range(rng.choice([0, 0, 1, 2])):
+                step = rng.choice(steps)
+                if step.tokens:
+                    start = rng.randrange(len(step.tokens))
+                    coref.append((step.index, (start, rng.randint(start + 1, len(step.tokens)))))
+            entities.append(Entity(name, aliases, tuple(sorted(coref))))
+        entities = tuple(entities)
         procedures.append(Procedure(pid, steps, entities))
         gold[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
         pred[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
@@ -469,6 +520,7 @@ def test_tiers_match_the_pre_transition_reference():
         categories = categorize_decisions(gold, procedures, parses, ontology, class_map)
         assert categories == _ref_categorize(gold, procedures, parses, ontology, class_map)
         assert eval_decision_level(pred, gold, categories) == _ref_decision(pred, gold, categories)
+        seen.update(_mention_kinds(procedures, categories))
         seen["conversions"] += len(_ref_conversion_set(gold))
         seen["ambiguous"] += sum(c.ambiguous for c in categories.values())
         seen.update(c.name for c in categories.values())
@@ -479,6 +531,37 @@ def test_tiers_match_the_pre_transition_reference():
                     row[t - 1] != row[t] and UNKNOWN in (row[t - 1], row[t])
                     for t in _ref_event_steps(row, "moved")
                 )
-    # The random cases reach every branch the rewrite touched.
-    for key in ("conversions", "recreated", "unknown_moves", "ambiguous", *CATEGORY_NAMES):
+    # The random cases reach every branch the rewrite touched, and decisions
+    # whose entity is mentioned only through an extra alias, only through a
+    # coreference span, or through a two-word span.
+    for key in ("conversions", "recreated", "unknown_moves", "ambiguous", *CATEGORY_NAMES,
+                "extra_alias_only", "coref_only", "multiword"):
         assert seen[key] > 0, key
+
+
+def _mention_kinds(procedures, categories):
+    """How each categorized decision's entity is mentioned in its step."""
+    by_id = {p.id: p for p in procedures}
+    kinds = Counter()
+    for pid, ent_name, t in categories:
+        entity = _ref_entity(by_id[pid], ent_name)
+        step = by_id[pid].step(t)
+        spans = _ref_mentions(entity, step)
+        by_name = _ref_mentions(Entity(entity.canonical_name, (entity.canonical_name,)), step)
+        by_aliases = _ref_mentions(entity._replace(coref_mentions=()), step)
+        kinds["extra_alias_only"] += bool(by_aliases) and not by_name
+        kinds["coref_only"] += bool(spans) and not by_aliases
+        kinds["multiword"] += any(end - start > 1 for start, end in spans)
+    return kinds
+
+
+def test_categories_do_not_depend_on_entity_order():
+    ontology, class_map = default_ontology(), default_class_map()
+    rng = random.Random(7)
+    for _ in range(200):
+        procedures, gold, _, parses = _random_case(rng)
+        shuffled = [p._replace(entities=tuple(rng.sample(p.entities, len(p.entities))))
+                    for p in procedures]
+        assert categorize_decisions(gold, shuffled, parses, ontology, class_map) == (
+            categorize_decisions(gold, procedures, parses, ontology, class_map)
+        )

@@ -13,15 +13,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # What ``from statetrack import *`` gave when the package imported every
 # module eagerly: the names it re-exported and the modules it loaded, less
-# ``FixedSequence``, which ``resolve_locations`` no longer returns, and
-# ``Ontology`` and ``ActionClassMap``: the configuration tables are plain dicts.
+# ``FixedSequence``, which ``resolve_locations`` no longer returns,
+# ``Ontology`` and ``ActionClassMap``: the configuration tables are plain dicts,
+# and ``find_mentions``: ``corpus.find_all_mentions`` is the one mention finder.
 EXPORTED = [
     "Action", "ActionClass", "Entity", "EntityTimeline", "EventFrame",
     "LocalDecision", "MetricReport", "PassiveLocationFact",
     "Procedure", "SemanticGraph", "StateGrid", "Step", "StepAction", "abstract_events",
     "abstraction", "apply_rules", "build_srl_graph", "build_trips_graph",
     "categorize_decisions", "corpus", "derive_actions", "errors", "eval_decision_level",
-    "eval_document_level", "eval_sentence_level", "extend_qa_graph", "find_mentions",
+    "eval_document_level", "eval_sentence_level", "extend_qa_graph",
     "fix_actions", "load_procedures", "load_srl", "load_trips", "match_argument", "metrics",
     "normalize", "ontology_class", "parses", "predict", "reasoning", "resolve_locations",
     "rules", "semgraph",

@@ -7,7 +7,7 @@ from statetrack.corpus import (
     Entity,
     Procedure,
     Step,
-    find_mentions,
+    find_all_mentions,
     normalize,
     spans_overlap,
     tokenize,
@@ -76,7 +76,7 @@ def _all_pairs_links(graph, procedure):
     entity_of = {}
     for entity in procedure.entities:
         for step in procedure.steps:
-            spans = find_mentions(entity, step)
+            spans = find_all_mentions((entity,), step)[0]
             for node in phrase:
                 if node.step_index == step.index and any(
                     spans_overlap(node.span, s) for s in spans
