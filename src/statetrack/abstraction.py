@@ -13,6 +13,7 @@ from collections import namedtuple
 from .corpus import normalize
 from .parses import (
     ActionClass,
+    LfEdge,
     LogicalFormGraph,
     default_role_synonyms,  # noqa: F401 - re-exported: callers import it from here
     ontology_class,
@@ -39,25 +40,12 @@ class ArgRef(namedtuple("ArgRef", "text span node_id norm")):
         return self[:3]
 
 
-class EventFrame:
-    """One event: its predicate, action class, role fillers and the
-    locations it names."""
+class EventFrame(namedtuple("EventFrame", "step_index predicate_word onto_type action_class "
+                                          "roles to_loc from_loc node_id")):
+    """One event: its predicate, action class, role fillers (a dict keyed by
+    canonical role) and the locations it names."""
 
-    __slots__ = ("step_index", "predicate_word", "onto_type", "action_class", "roles",
-                 "to_loc", "from_loc", "node_id")
-
-    def __init__(self, step_index: int, predicate_word: str, onto_type: str,
-                 action_class: ActionClass, roles: dict[str, ArgRef] | None = None,
-                 to_loc: ArgRef | None = None, from_loc: ArgRef | None = None,
-                 node_id: str = ""):
-        self.step_index = step_index
-        self.predicate_word = predicate_word
-        self.onto_type = onto_type
-        self.action_class = action_class
-        self.roles = {} if roles is None else roles
-        self.to_loc = to_loc
-        self.from_loc = from_loc
-        self.node_id = node_id
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -103,42 +91,44 @@ def abstract_events(
     nodes resolving to OTHER are skipped.  Location-category edges on a
     frame go to to_loc/from_loc (on destroy frames every attached location
     counts as the from side); all other edges land in the role map under
-    their canonical label.  Locative edges hanging off non-predicate nodes
-    become passive facts.
+    their canonical label; of two edges filling one slot, the first in file
+    order wins.  Locative edges hanging off non-predicate nodes become
+    passive facts, in node order and then edge order.  Nodes and out-edges
+    are indexed here, once per call: no other reader needs the index.
     """
+    by_id = {node.id: node for node in graph.nodes}
+    out: dict[str, list[LfEdge]] = {}
+    for edge in graph.edges:
+        out.setdefault(edge.src, []).append(edge)
     frames: list[EventFrame] = []
     for node, cls in frame_nodes(graph, ontology, class_map):
-        frame = EventFrame(
-            step_index=graph.sentence_index,
-            predicate_word=node.word,
-            onto_type=node.onto_type,
-            action_class=cls,
-            node_id=node.id,
-        )
-        for edge in graph.out_edges(node.id):
-            target = graph.node(edge.dst)
+        roles: dict[str, ArgRef] = {}
+        to_loc = from_loc = None
+        for edge in out.get(node.id, ()):
+            target = by_id[edge.dst]
             arg = ArgRef(text=target.word, span=target.span, node_id=target.id)
             category = synonyms.get(edge.label, edge.label)
             if cls is ActionClass.DESTROY and category in _LOCATION_CATEGORIES:
-                if frame.from_loc is None:
-                    frame.from_loc = arg
+                if from_loc is None:
+                    from_loc = arg
             elif category == TO_LOC:
-                if frame.to_loc is None:
-                    frame.to_loc = arg
+                if to_loc is None:
+                    to_loc = arg
             elif category == FROM_LOC:
-                if frame.from_loc is None:
-                    frame.from_loc = arg
+                if from_loc is None:
+                    from_loc = arg
             else:
-                frame.roles.setdefault(category, arg)
-        frames.append(frame)
+                roles.setdefault(category, arg)
+        frames.append(EventFrame(graph.sentence_index, node.word, node.onto_type, cls,
+                                 roles, to_loc, from_loc, node.id))
     facts: list[PassiveLocationFact] = []
     for node in graph.nodes:
         if node.is_predicate:
             continue
-        for edge in graph.out_edges(node.id):
+        for edge in out.get(node.id, ()):
             if synonyms.get(edge.label, edge.label) != LOCATION:
                 continue
-            target = graph.node(edge.dst)
+            target = by_id[edge.dst]
             if target.is_predicate or not target.word:
                 continue
             holder = ArgRef(text=node.word, span=node.span, node_id=node.id)

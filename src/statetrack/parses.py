@@ -35,8 +35,7 @@ class ActionClass(str, Enum):
 # ---------------------------------------------------------------------------
 # Logical-form graphs
 
-# Records are tuples with named fields (see ``corpus``); a sentence's graph,
-# which indexes its nodes and edges when it is made, is a plain class.
+# Records are tuples with named fields (see ``corpus``).
 
 class LfNode(namedtuple("LfNode", "id indicator onto_type word span")):
     """A node: id, term indicator ("F" marks predicate/function nodes),
@@ -55,35 +54,11 @@ class LfEdge(namedtuple("LfEdge", "src label dst")):
     __slots__ = ()
 
 
-class LogicalFormGraph:
-    """One sentence's parse.  Node ids and each node's outgoing edges are
-    indexed once, when the graph is made."""
+class LogicalFormGraph(namedtuple("LogicalFormGraph", "sentence_index nodes edges root")):
+    """One sentence's parse: its nodes and edges in file order, and its root
+    node id or None."""
 
-    __slots__ = ("sentence_index", "nodes", "edges", "root", "_by_id", "_out")
-
-    def __init__(self, sentence_index: int, nodes: tuple[LfNode, ...],
-                 edges: tuple[LfEdge, ...], root: str | None):
-        self.sentence_index = sentence_index
-        self.nodes = nodes
-        self.edges = edges
-        self.root = root
-        out: dict[str, list[LfEdge]] = {}
-        for edge in edges:
-            out.setdefault(edge.src, []).append(edge)
-        self._by_id = {n.id: n for n in nodes}
-        self._out = {src: tuple(src_edges) for src, src_edges in out.items()}
-
-    def __eq__(self, other):
-        if type(other) is not LogicalFormGraph:
-            return NotImplemented
-        return (self.sentence_index, self.nodes, self.edges, self.root) == (
-            other.sentence_index, other.nodes, other.edges, other.root)
-
-    def node(self, node_id: str) -> LfNode:
-        return self._by_id[node_id]
-
-    def out_edges(self, node_id: str) -> tuple[LfEdge, ...]:
-        return self._out.get(node_id, ())
+    __slots__ = ()
 
 
 def load_trips(path) -> list[LogicalFormGraph]:

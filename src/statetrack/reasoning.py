@@ -18,14 +18,13 @@ the exported actions are the transitions of the row
 
 from __future__ import annotations
 
-import logging
+from collections import namedtuple
 
 from .abstraction import PassiveLocationFact, abstract_events
 from .corpus import (
     NONEXISTENT,
     UNKNOWN,
     Action,
-    Entity,
     Procedure,
     StateGrid,
     StepAction,
@@ -34,20 +33,12 @@ from .corpus import (
 from .parses import parses_by_step
 from .rules import LocalDecision, apply_rules, match_argument
 
-logger = logging.getLogger(__name__)
 
+class EntityTimeline(namedtuple("EntityTimeline", "entity num_steps slots passive")):
+    """One entity's local decisions per step (a dict keyed by step) and its
+    passive facts (a list)."""
 
-class EntityTimeline:
-    """One entity's local decisions per step and its passive facts."""
-
-    __slots__ = ("entity", "num_steps", "slots", "passive")
-
-    def __init__(self, entity: Entity, num_steps: int, slots: dict[int, list[LocalDecision]],
-                 passive: list[PassiveLocationFact]):
-        self.entity = entity
-        self.num_steps = num_steps
-        self.slots = slots
-        self.passive = passive
+    __slots__ = ()
 
 
 def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[StepAction]:
@@ -63,12 +54,7 @@ def fix_actions(timeline: EntityTimeline, strict_destroy: bool = False) -> list[
     last_action: Action | None = None
     last_loc: str | None = None
     for t in range(1, timeline.num_steps + 1):
-        decisions = timeline.slots.get(t, [])
-        if len(decisions) > 1:
-            logger.info(
-                "entity %r step %d: %d conflicting local decisions, keeping the first",
-                timeline.entity.canonical_name, t, len(decisions),
-            )
+        decisions = timeline.slots.get(t)
         if not decisions:
             fixed.append(StepAction(Action.NONE))
             continue

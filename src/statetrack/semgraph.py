@@ -32,7 +32,7 @@ generated Python methods.
 
 from __future__ import annotations
 
-import logging
+import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -47,8 +47,6 @@ from .corpus import (
 )
 from .errors import SchemaError
 from .parses import LogicalFormGraph, SrlDoc, parses_by_step
-
-logger = logging.getLogger(__name__)
 
 SAME = "SAME"
 COREF = "COREF"
@@ -373,10 +371,8 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
                 out.add_edge(question_id, node.id, QUESTION_EDGE)
                 linked += 1
     if linked == 0:
-        logger.warning(
-            "entity %r has no node in the graph; question node left unconnected",
-            entity.canonical_name,
-        )
+        print(f"entity {entity.canonical_name!r} has no node in the graph; "
+              "question node left unconnected", file=sys.stderr)
     for step in procedure.steps:
         step_id = f"step.{step.index}"
         out.add_node(GNode(step_id, "step", step.index, None, step.text))

@@ -153,3 +153,63 @@ def test_lower_case_labels_and_types_abstract_alike(tmp_path, data_dir, cfg):
         assert any(frames for frames, _ in expected), path.name
         assert abstracted(lowered) == expected, path.name
     assert {"goal", "affected", "move"} <= lowered_text
+
+
+def _node(nid, word, onto_type="THING", indicator="THE"):
+    return {"id": nid, "indicator": indicator, "type": onto_type, "word": word}
+
+
+def _sentence(nodes, edges):
+    return {
+        "sentence_index": 1,
+        "nodes": nodes,
+        "edges": [{"src": s, "label": label, "dst": d} for s, label, d in edges],
+    }
+
+
+class TestEdgeOrder:
+    # Where two edges compete for one slot, the first in file order wins; the
+    # later edges name nodes that come earlier in node order, so that node
+    # order would pick the other one.
+
+    def test_first_to_loc_wins(self, tmp_path, cfg):
+        g = _graph(tmp_path, _sentence(
+            [_node("V1", "flows", "MOTION", "F"), _node("N1", "sea"), _node("N2", "river"),
+             _node("N3", "lake")],
+            [("V1", "TO-LOC", "N3"), ("V1", "GOAL", "N2"), ("V1", "TO-LOC", "N1")],
+        ))
+        (frame,), _ = abstract_events(g, *cfg)
+        assert frame.to_loc.text == "lake"
+        assert frame.from_loc is None
+
+    def test_first_edge_of_a_role_wins(self, tmp_path, cfg):
+        # AFFECTED_RESULT is unmapped and names the role AFFECTED-RESULT maps to.
+        g = _graph(tmp_path, _sentence(
+            [_node("V1", "forms", "CREATE", "F"), _node("N1", "ice"), _node("N2", "snow")],
+            [("V1", "AFFECTED-RESULT", "N2"), ("V1", "AFFECTED_RESULT", "N1")],
+        ))
+        (frame,), _ = abstract_events(g, *cfg)
+        assert {k: v.text for k, v in frame.roles.items()} == {"AFFECTED_RESULT": "snow"}
+
+    def test_destroy_takes_the_first_location_of_either_kind(self, tmp_path, cfg):
+        nodes = [_node("V1", "burns", "DESTROY", "F"), _node("N1", "forest"), _node("N2", "hill")]
+        g = _graph(tmp_path, _sentence(nodes, [("V1", "LOCATION", "N2"), ("V1", "FROM-LOC", "N1")]))
+        (frame,), _ = abstract_events(g, *cfg)
+        assert frame.from_loc.text == "hill"
+        assert frame.to_loc is None and frame.roles == {}
+        g = _graph(tmp_path, _sentence(nodes, [("V1", "FROM-LOC", "N1"), ("V1", "LOCATION", "N2")]))
+        (frame,), _ = abstract_events(g, *cfg)
+        assert frame.from_loc.text == "forest"
+
+    def test_passive_facts_in_node_then_edge_order(self, tmp_path, cfg):
+        g = _graph(tmp_path, _sentence(
+            [_node("N1", "cup"), _node("V1", "sits", "COGITATION", "F"), _node("N2", "book"),
+             _node("N3", "shelf"), _node("N4", "table"), _node("N5", "box")],
+            [("N2", "ON", "N4"), ("N1", "IN", "N5"), ("N2", "IN", "N3"), ("V1", "AT", "N3"),
+             ("N1", "AT", "N4")],
+        ))
+        frames, facts = abstract_events(g, *cfg)
+        assert frames == []
+        assert [(f.holder.text, f.location.text) for f in facts] == [
+            ("cup", "box"), ("cup", "table"), ("book", "table"), ("book", "shelf"),
+        ]

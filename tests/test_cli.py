@@ -11,20 +11,25 @@ from statetrack.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _env() -> dict:
+    """The environment with this checkout's package first on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def _loaded_by_cli_import(*modules: str, argv=None, code: str = "") -> list[str]:
     """Those of ``modules`` a fresh interpreter has loaded after importing
     statetrack.cli, running ``code`` and, given ``argv``, running that
     command.  A module the bare interpreter had already loaded (a site hook
     may load some) is not counted."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     run = "" if argv is None else f"assert statetrack.cli.main({list(map(str, argv))!r}) == 0\n"
     probe = (
         "import sys\nbare = set(sys.modules)\nimport statetrack.cli\n"
         f"{code}{run}print(*[m for m in {modules!r} if m in sys.modules and m not in bare])\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
@@ -486,6 +491,27 @@ class TestOtherCommands:
     def test_command_loads_no_dataclass_machinery(self, data_dir, tmp_path, command):
         argv = _FIXTURE_COMMANDS[command](data_dir, tmp_path / "out")
         assert not _loaded_by_cli_import("dataclasses", "inspect", argv=argv)
+
+    # No library module imports logging; its one notice is printed to stderr.
+    @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
+    def test_command_loads_no_logging(self, data_dir, tmp_path, command):
+        argv = _FIXTURE_COMMANDS[command](data_dir, tmp_path / "out")
+        assert not _loaded_by_cli_import("logging", argv=argv)
+
+    def test_build_graph_names_an_unlinked_qa_entity_on_stderr(self, data_dir, tmp_path):
+        # No node of the fixture corpus mentions "rock": the question node is
+        # left unconnected, and exactly this line says so.
+        result = subprocess.run(
+            [sys.executable, "-m", "statetrack.cli", "build-graph",
+             "--corpus", data_dir / "corpus_small.json", "--coref", data_dir / "coref_small.json",
+             "--parses", data_dir / "parses", "--qa-entity", "rock",
+             "--output", tmp_path / "graphs.json"],
+            env=_env(), capture_output=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == (
+            b"entity 'rock' has no node in the graph; question node left unconnected\n"
+        )
 
     def test_benchmark_setup_loads_no_dataclass_machinery(self):
         # The set-up probe of bench/run.py (SETUP_CODE): the CLI import plus

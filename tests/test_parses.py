@@ -122,19 +122,9 @@ class TestLoadTrips:
     def test_move_frame_has_two_outgoing_edges(self, data_dir):
         graphs = load_trips(data_dir / "parses" / "book-1.trips.json")
         (g,) = graphs
-        move_edges = g.out_edges("V1")
+        move_edges = [e for e in g.edges if e.src == "V1"]
         assert len(move_edges) == 2
         assert {e.label for e in move_edges} == {"AFFECTED", "TO-LOC"}
-
-    def test_indexes_match_a_scan_of_the_lists(self, data_dir):
-        for path in sorted((data_dir / "parses").glob("*.trips.json")):
-            for g in load_trips(path):
-                for n in g.nodes:
-                    assert g.node(n.id) is n
-                    assert g.out_edges(n.id) == tuple(e for e in g.edges if e.src == n.id)
-                assert g.out_edges("no such node") == ()
-                with pytest.raises(KeyError):
-                    g.node("no such node")
 
     def test_dangling_edge_named(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -3,15 +3,14 @@
 Records are named tuples: equal fields give equal objects with equal
 hashes, a pickle round-trip (``predict --jobs`` pickles procedures) gives an
 equal object of the same class, and a set of graph edges removes
-duplicates.  ``StepAction`` keeps its field check.  The grid and the parse
-graph, plain classes that callers compare, compare by their fields.
+duplicates.  ``StepAction`` keeps its field check.
 """
 
 import pickle
 
 import pytest
 
-from statetrack.abstraction import ArgRef, PassiveLocationFact
+from statetrack.abstraction import ArgRef, EventFrame, PassiveLocationFact
 from statetrack.corpus import Action, Entity, Procedure, StateGrid, Step, StepAction
 from statetrack.metrics import (
     CategoryScore,
@@ -21,7 +20,8 @@ from statetrack.metrics import (
     DocumentScores,
     SentenceScores,
 )
-from statetrack.parses import LfEdge, LfNode, LogicalFormGraph, SrlArg, SrlDoc, SrlFrame
+from statetrack.parses import ActionClass, LfEdge, LfNode, LogicalFormGraph, SrlArg, SrlDoc, SrlFrame
+from statetrack.reasoning import EntityTimeline
 from statetrack.rules import LocalDecision
 from statetrack.semgraph import GEdge, GNode
 
@@ -58,9 +58,23 @@ RECORDS = {
     "SrlFrame": lambda: SrlFrame((1, 2), "flows", (SrlArg("A1", (0, 1), "Water"),)),
     "SrlDoc": lambda: SrlDoc(1, (SrlFrame((1, 2), "flows", ()),)),
     "ArgRef": _arg,
+    "LogicalFormGraph": lambda: LogicalFormGraph(
+        1, (LfNode("N1", "F", "MOVE", "flows", (1, 2)), LfNode("N2", "", "", "water", (0, 1))),
+        (LfEdge("N1", "AFFECTED", "N2"),), "N1",
+    ),
+    "EventFrame": lambda: EventFrame(
+        1, "flows", "MOVE", ActionClass.MOVE, {"AFFECTED": _arg()}, ArgRef("sea", None, "N3"),
+        None, "V1",
+    ),
     "PassiveLocationFact": lambda: PassiveLocationFact(1, _arg(), ArgRef("lake", None, "N2")),
     "LocalDecision": lambda: LocalDecision(
         1, _entity(), StepAction(Action.CREATE, to_loc="?"), "create_affected", "V1"
+    ),
+    "EntityTimeline": lambda: EntityTimeline(
+        _entity(), 2,
+        {1: [LocalDecision(1, _entity(), StepAction(Action.MOVE, to_loc="sea"), "move_affected",
+                           "V1")]},
+        [PassiveLocationFact(2, _arg(), ArgRef("lake", None, "N2"))],
     ),
     "GNode": lambda: GNode("s1.N1", "predicate", 1, (1, 2), "flows"),
     "GEdge": lambda: GEdge("s1.N1", "s1.N2", "AFFECTED"),
@@ -74,7 +88,8 @@ RECORDS = {
     "DecisionScores": lambda: DecisionScores({"local": _category()}, None, 0),
 }
 # These hold a dict, so they have no hash.
-UNHASHABLE = {"SentenceScores", "DocumentScores", "DecisionScores"}
+UNHASHABLE = {"SentenceScores", "DocumentScores", "DecisionScores", "EventFrame",
+              "EntityTimeline"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -505,12 +505,13 @@ class TestQaExtension:
         step1_nodes = [n.id for n in graph.nodes if n.step_index == 1]
         assert sorted(e.dst for e in step1_edges) == sorted(step1_nodes)
 
-    def test_absent_entity_warns(self, caplog):
+    def test_absent_entity_warns(self, capsys):
         proc, graph = self._base()
         ghost = Entity("ghost", ("ghost",))
-        with caplog.at_level("WARNING"):
-            extended = extend_qa_graph(graph, ghost, proc)
-        assert "ghost" in caplog.text
+        extended = extend_qa_graph(graph, ghost, proc)
+        assert capsys.readouterr().err == (
+            "entity 'ghost' has no node in the graph; question node left unconnected\n"
+        )
         assert [e for e in extended.edges if e.type_label == "QUESTION"] == []
         assert len(extended.nodes) == len(graph.nodes) + proc.num_steps + 1
 

@@ -191,11 +191,11 @@ def test_forward_passes_match_the_reference():
             timeline = random_timeline(rng, max_steps, ALPHABET)
             # A second fact at some steps, and the facts out of step order,
             # so that which fact of a step comes first in the list matters.
-            timeline.passive += [
+            timeline.passive.extend([
                 PassiveLocationFact(f.step_index, f.holder, ArgRef(rng.choice(PLACES), None, "N2"))
                 for f in timeline.passive
                 if rng.random() < 0.5
-            ]
+            ])
             rng.shuffle(timeline.passive)
             steps = [f.step_index for f in timeline.passive]
             seen["facts_sharing_a_step"] += len(steps) > len(set(steps))
