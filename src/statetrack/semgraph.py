@@ -11,8 +11,10 @@ same entity are linked across sentences ("SAME" / "COREF").
 A question-answering extension adds one question node tied to the queried
 entity's nodes and one node per step tied to that step's nodes.
 
-Cost: a graph indexes its node ids and edges, so adding a node or an edge
-is O(1).  Entity mentions are found once per step for all entities
+Cost: a graph is two lists and indexes nothing.  A builder keeps its edges
+in a dict used as an insertion-ordered set, so adding an edge is O(1) and
+the first insertion fixes its position; the graph checks its node ids once,
+when it is made.  Entity mentions are found once per step for all entities
 (``find_all_mentions``: the step is lower-cased and indexed once) and each
 phrase is normalized once.  Path synthesis runs one breadth-first search
 per surviving node of a sentence, O(n * (n + e)) for n nodes and e edges
@@ -26,7 +28,7 @@ over the nodes and edges with fixed templates, rather than through the
 pure-Python encoder ``json.dumps`` uses whenever ``indent`` is set.
 
 Nodes and edges are named tuples: making one is a tuple allocation, and
-the edge index hashes and compares edges in C rather than through
+the builders' edge dicts hash and compare edges in C rather than through
 generated Python methods.
 """
 
@@ -69,36 +71,21 @@ class GEdge(namedtuple("GEdge", "src dst type_label")):
     __slots__ = ()
 
 
-class SemanticGraph:
-    """Nodes and edges in insertion order.  Grow the graph through
-    ``add_node`` and ``add_edge`` only: they keep the id and edge indexes
-    built from the initial lists in step with the lists."""
+class SemanticGraph(namedtuple("SemanticGraph", "nodes edges")):
+    """Node and edge lists, in the order they are written out.  Node ids
+    are unique; the check runs whenever the class is called, so make a
+    changed copy with ``SemanticGraph(...)`` rather than ``_replace``, which
+    bypasses it."""
 
-    __slots__ = ("nodes", "edges", "_ids", "_edge_set")
+    __slots__ = ()
 
-    def __init__(self, nodes: list[GNode] | None = None, edges: list[GEdge] | None = None):
-        self.nodes = [] if nodes is None else nodes
-        self.edges = [] if edges is None else edges
-        self._ids = set()
-        for node in self.nodes:
-            if node.id in self._ids:
+    def __new__(cls, nodes: list[GNode], edges: list[GEdge]):
+        ids = set()
+        for node in nodes:
+            if node.id in ids:
                 raise ValueError(f"duplicate node id {node.id!r}")
-            self._ids.add(node.id)
-        self._edge_set = set(self.edges)
-
-    def add_node(self, node: GNode) -> None:
-        if node.id in self._ids:
-            raise ValueError(f"duplicate node id {node.id!r}")
-        self._ids.add(node.id)
-        self.nodes.append(node)
-
-    def add_edge(self, src: str, dst: str, type_label: str) -> None:
-        if src == dst:
-            return
-        edge = GEdge(src, dst, type_label)
-        if edge not in self._edge_set:
-            self._edge_set.add(edge)
-            self.edges.append(edge)
+            ids.add(node.id)
+        return tuple.__new__(cls, (nodes, edges))
 
     def to_dict(self) -> dict:
         return {
@@ -201,7 +188,8 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
     cross-sentence mention links."""
     by_index = parses_by_step(procedure, srl_docs)
     step_mentions = _step_mentions(procedure)
-    graph = SemanticGraph()
+    nodes: list[GNode] = []
+    edges: dict[GEdge, None] = {}  # an insertion-ordered set
     for step in procedure.steps:
         doc = by_index[step.index]
         mentions = _mention_spans(step_mentions, step)
@@ -215,33 +203,33 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
             resolved = kind
             if kind != "predicate" and any(spans_overlap(span, m) for m in mentions):
                 resolved = "entity_mention"
-            graph.add_node(GNode(node_id, resolved, step.index, span, text))
+            nodes.append(GNode(node_id, resolved, step.index, span, text))
             span_to_id[span] = node_id
             return node_id
 
         for frame in doc.frames:
             pred_id = ensure(frame.predicate_span, frame.predicate_text, "predicate")
-            arg_ids = []
-            for arg in frame.args:
-                arg_ids.append(ensure(arg.span, arg.text, "noun_phrase"))
+            arg_ids = [ensure(arg.span, arg.text, "noun_phrase") for arg in frame.args]
             for arg_id in arg_ids:
-                graph.add_edge(pred_id, arg_id, "")
-            for i in range(len(arg_ids)):
-                for j in range(i + 1, len(arg_ids)):
-                    graph.add_edge(arg_ids[i], arg_ids[j], "")
+                edges[GEdge(pred_id, arg_id, "")] = None
+            for i, a in enumerate(arg_ids):
+                for b in arg_ids[i + 1 :]:
+                    if a != b:  # two args of one span
+                        edges[GEdge(a, b, "")] = None
         for span in sorted(mentions):
             if span not in span_to_id and not any(spans_overlap(span, s) for s in span_to_id):
                 text = " ".join(step.tokens[span[0] : span[1]])
                 ensure(span, text, "entity_mention")
-    _link_across_sentences(graph, step_mentions)
-    return graph
+    _link_across_sentences(nodes, edges, step_mentions)
+    return SemanticGraph(nodes, list(edges))
 
 
 def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -> SemanticGraph:
     """Graph over logical-form parses, keeping role labels on the edges."""
     by_index = parses_by_step(procedure, lf_graphs)
     step_mentions = _step_mentions(procedure)
-    graph = SemanticGraph()
+    nodes: list[GNode] = []
+    edges: dict[GEdge, None] = {}  # an insertion-ordered set
     for step in procedure.steps:
         lf = by_index[step.index]
         mentions = _mention_spans(step_mentions, step)
@@ -257,7 +245,7 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
             else:
                 kind = "noun_phrase"
             gid = f"s{step.index}.{node.id}"
-            graph.add_node(GNode(gid, kind, step.index, node.span, node.word))
+            nodes.append(GNode(gid, kind, step.index, node.span, node.word))
             included[node.id] = gid
 
         adjacency: dict[str, list[tuple[str, str]]] = {n.id: [] for n in lf.nodes}
@@ -265,21 +253,19 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
         for edge in lf.edges:
             adjacency[edge.src].append((edge.dst, edge.label))
             adjacency[edge.dst].append((edge.src, edge.label))
-            if edge.src in included and edge.dst in included:
-                graph.add_edge(included[edge.src], included[edge.dst], edge.label)
+            if edge.src != edge.dst and edge.src in included and edge.dst in included:
+                edges[GEdge(included[edge.src], included[edge.dst], edge.label)] = None
                 direct.add(frozenset((edge.src, edge.dst)))
 
         # Pairs (a, b) with a before b in parse order, in that order.
-        order = [n.id for n in lf.nodes if n.id in included]
-        position = {node_id: k for k, node_id in enumerate(order)}
+        order = list(included)
         for k, a in enumerate(order):
             labels = _shortest_labels(adjacency, a)
-            for m in sorted(position[b] for b in labels if position.get(b, -1) > k):
-                b = order[m]
-                if frozenset((a, b)) not in direct:
-                    graph.add_edge(included[a], included[b], "|".join(labels[b]))
-    _link_across_sentences(graph, step_mentions)
-    return graph
+            for b in order[k + 1 :]:
+                if b in labels and frozenset((a, b)) not in direct:
+                    edges[GEdge(included[a], included[b], "|".join(labels[b]))] = None
+    _link_across_sentences(nodes, edges, step_mentions)
+    return SemanticGraph(nodes, list(edges))
 
 
 def _shortest_labels(adjacency, start: str) -> dict[str, tuple[str, ...]]:
@@ -305,7 +291,9 @@ def _shortest_labels(adjacency, start: str) -> dict[str, tuple[str, ...]]:
     return assigned
 
 
-def _link_across_sentences(graph: SemanticGraph, step_mentions: StepMentions) -> None:
+def _link_across_sentences(
+    nodes: list[GNode], edges: dict[GEdge, None], step_mentions: StepMentions
+) -> None:
     """SAME edges for equal phrases, COREF edges for same-entity mentions.
 
     A pair of phrase nodes from different steps is linked SAME when their
@@ -320,7 +308,7 @@ def _link_across_sentences(graph: SemanticGraph, step_mentions: StepMentions) ->
             for start, end in spans:
                 for position in range(start, end):
                     at.setdefault(position, set()).add(name)
-    phrase_nodes = [n for n in graph.nodes if n.kind in ("entity_mention", "noun_phrase")]
+    phrase_nodes = [n for n in nodes if n.kind in ("entity_mention", "noun_phrase")]
     by_text: dict[str, list[int]] = {}
     by_entity: dict[str, list[int]] = {}
     for k, node in enumerate(phrase_nodes):
@@ -340,7 +328,7 @@ def _link_across_sentences(graph: SemanticGraph, step_mentions: StepMentions) ->
                     if phrase_nodes[i].step_index != phrase_nodes[j].step_index:
                         links.setdefault((i, j), label)
     for (i, j), label in sorted(links.items()):
-        graph.add_edge(phrase_nodes[i].id, phrase_nodes[j].id, label)
+        edges[GEdge(phrase_nodes[i].id, phrase_nodes[j].id, label)] = None
 
 
 def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) -> SemanticGraph:
@@ -348,16 +336,15 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
 
     The question node connects to every node that mentions the entity; each
     step node connects to every node of its step.  Always adds exactly
-    (number of steps + 1) nodes.
+    (number of steps + 1) nodes.  The input graph is left unchanged, so one
+    graph serves every queried entity.
     """
-    out = SemanticGraph(nodes=list(graph.nodes), edges=list(graph.edges))
+    nodes, edges = list(graph.nodes), list(graph.edges)
     by_step: dict[int | None, list[GNode]] = {}
     for node in graph.nodes:
         by_step.setdefault(node.step_index, []).append(node)
     question_id = "question"
-    out.add_node(
-        GNode(question_id, "question", None, None, f"where is {entity.canonical_name}")
-    )
+    nodes.append(GNode(question_id, "question", None, None, f"where is {entity.canonical_name}"))
     linked = 0
     for step in procedure.steps:
         spans = find_all_mentions((entity,), step)[0]
@@ -368,14 +355,13 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
                 any(spans_overlap(node.span, s) for s in spans)
                 or normalize(node.text) in entity.aliases
             ):
-                out.add_edge(question_id, node.id, QUESTION_EDGE)
+                edges.append(GEdge(question_id, node.id, QUESTION_EDGE))
                 linked += 1
     if linked == 0:
         print(f"entity {entity.canonical_name!r} has no node in the graph; "
               "question node left unconnected", file=sys.stderr)
     for step in procedure.steps:
         step_id = f"step.{step.index}"
-        out.add_node(GNode(step_id, "step", step.index, None, step.text))
-        for node in by_step.get(step.index, []):
-            out.add_edge(step_id, node.id, STEP_EDGE)
-    return out
+        nodes.append(GNode(step_id, "step", step.index, None, step.text))
+        edges.extend(GEdge(step_id, node.id, STEP_EDGE) for node in by_step.get(step.index, []))
+    return SemanticGraph(nodes, edges)

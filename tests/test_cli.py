@@ -116,11 +116,7 @@ class TestPredict:
     def test_json_format(self, data_dir, tmp_path):
         out = tmp_path / "pred.json"
         assert main(_predict_args(data_dir, out, ["--format", "json"])) == 0
-        rows = json.loads(out.read_text())
-        assert rows[0] == {
-            "procedure": "book-1", "step": 1, "entity": "book",
-            "action": "MOVE", "before": "shelf", "after": "library",
-        }
+        assert out.read_bytes() == (data_dir / "golden" / "predictions.json").read_bytes()
 
     def test_srl_parser_rejected(self, data_dir, tmp_path, capsys):
         # predict and abstract read logical-form parses only, so neither
@@ -325,17 +321,11 @@ class TestEvaluate:
         )
 
     def test_table_format(self, data_dir, tmp_path, capsys):
-        pred = tmp_path / "pred.tsv"
-        assert main(_predict_args(data_dir, pred)) == 0
-        code = main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--tier", "sentence",
-            "--format", "table",
-        ])
-        assert code == 0
-        assert "sentence-level" in capsys.readouterr().out
+        # The seeded run, printing its table to stdout instead of --output.
+        argv = _FIXTURE_COMMANDS["evaluate"](data_dir, tmp_path / "report.json")
+        assert main([*map(str, argv[:-2]), "--format", "table"]) == 0
+        golden = (data_dir / "golden" / "report_seeded.txt").read_bytes()
+        assert capsys.readouterr().out.encode() == golden
 
 
 class TestDeterminism:

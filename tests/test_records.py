@@ -3,7 +3,8 @@
 Records are named tuples: equal fields give equal objects with equal
 hashes, a pickle round-trip (``predict --jobs`` pickles procedures) gives an
 equal object of the same class, and a set of graph edges removes
-duplicates.  ``StepAction`` keeps its field check.
+duplicates.  ``StepAction`` and ``SemanticGraph`` keep their checks, and a
+pickle round-trip goes through them.
 """
 
 import pickle
@@ -23,7 +24,7 @@ from statetrack.metrics import (
 from statetrack.parses import ActionClass, LfEdge, LfNode, LogicalFormGraph, SrlArg, SrlDoc, SrlFrame
 from statetrack.reasoning import EntityTimeline
 from statetrack.rules import LocalDecision
-from statetrack.semgraph import GEdge, GNode
+from statetrack.semgraph import GEdge, GNode, SemanticGraph
 
 
 def _entity():
@@ -78,6 +79,11 @@ RECORDS = {
     ),
     "GNode": lambda: GNode("s1.N1", "predicate", 1, (1, 2), "flows"),
     "GEdge": lambda: GEdge("s1.N1", "s1.N2", "AFFECTED"),
+    "SemanticGraph": lambda: SemanticGraph(
+        [GNode("s1.N1", "predicate", 1, (1, 2), "flows"),
+         GNode("s1.N2", "entity_mention", 1, (0, 1), "Water")],
+        [GEdge("s1.N1", "s1.N2", "AFFECTED")],
+    ),
     "DecisionCategory": lambda: DecisionCategory("local", True),
     "SentenceScores": lambda: SentenceScores(
         100.0, 50.0, 50.0, 66.7, 75.0, {"cat1": (3, 3), "cat2": (1, 2), "cat3": (1, 2)}
@@ -87,9 +93,9 @@ RECORDS = {
     "CategoryScore": _category,
     "DecisionScores": lambda: DecisionScores({"local": _category()}, None, 0),
 }
-# These hold a dict, so they have no hash.
+# These hold a dict or a list, so they have no hash.
 UNHASHABLE = {"SentenceScores", "DocumentScores", "DecisionScores", "EventFrame",
-              "EntityTimeline"}
+              "EntityTimeline", "SemanticGraph"}
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))

@@ -96,22 +96,9 @@ def _all_pairs_links(graph, procedure):
 
 class TestSemanticGraph:
     def test_duplicate_node_rejected(self):
-        graph = SemanticGraph()
-        graph.add_node(GNode("a", "noun_phrase", 1, (0, 1), "a"))
+        nodes = [GNode("a", "noun_phrase", 1, (0, 1), "a")]
         with pytest.raises(ValueError, match="duplicate node id"):
-            graph.add_node(GNode("a", "noun_phrase", 2, (0, 1), "a"))
-        with pytest.raises(ValueError, match="duplicate node id"):
-            SemanticGraph(nodes=graph.nodes * 2)
-
-    def test_edges_deduplicated_and_self_loops_skipped(self):
-        base = SemanticGraph()
-        base.add_edge("a", "b", "X")
-        base.add_edge("a", "a", "X")
-        copy = SemanticGraph(nodes=list(base.nodes), edges=list(base.edges))
-        copy.add_edge("a", "b", "X")
-        copy.add_edge("b", "a", "X")
-        assert [(e.src, e.dst) for e in copy.edges] == [("a", "b"), ("b", "a")]
-        assert len(base.edges) == 1
+            SemanticGraph(nodes=nodes * 2, edges=[])
 
 
 class TestShortestLabels:
@@ -285,6 +272,27 @@ class TestSrlGraph:
         # predicate-argument edges plus the argument pair, adjunct included
         assert len(build_srl_graph(proc, [doc]).edges) == 3
 
+    def test_two_args_of_one_span_give_no_self_loop(self):
+        proc = _proc(["Move the book ."], ["book"])
+        args = (SrlArg("ARG1", (1, 3), "the book"), SrlArg("ARG2", (1, 3), "the book"))
+        graph = build_srl_graph(proc, [SrlDoc(1, (SrlFrame((0, 1), "Move", args),))])
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.0.1", "s1.1.3", "")
+        ]
+
+    def test_arg_pair_shared_by_two_frames_linked_once(self):
+        proc = _proc(["Move and push the book to the library ."], ["book"])
+        args = (SrlArg("ARG1", (3, 5), "the book"), SrlArg("ARG2", (6, 8), "the library"))
+        doc = SrlDoc(1, (SrlFrame((0, 1), "Move", args), SrlFrame((2, 3), "push", args)))
+        graph = build_srl_graph(proc, [doc])
+        assert [(e.src, e.dst) for e in graph.edges] == [
+            ("s1.0.1", "s1.3.5"),
+            ("s1.0.1", "s1.6.8"),
+            ("s1.3.5", "s1.6.8"),
+            ("s1.2.3", "s1.3.5"),
+            ("s1.2.3", "s1.6.8"),
+        ]
+
 
 class TestTripsGraph:
     def _lf(self, nodes, edges):
@@ -310,6 +318,20 @@ class TestTripsGraph:
                 _node("N1", "book", (2, 3)),
             ],
             [LfEdge("V1", "AFFECTED", "N1"), LfEdge("V1", "AFFECTED", "N1")],
+        )
+        graph = build_trips_graph(proc, [lf])
+        assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
+            ("s1.V1", "s1.N1", "AFFECTED")
+        ]
+
+    def test_lf_self_edge_gives_no_graph_edge(self):
+        proc = _proc(["move the book ."], ["book"])
+        lf = self._lf(
+            [
+                _node("V1", "move", (0, 1), indicator="F"),
+                _node("N1", "book", (2, 3)),
+            ],
+            [LfEdge("N1", "MOD", "N1"), LfEdge("V1", "AFFECTED", "N1")],
         )
         graph = build_trips_graph(proc, [lf])
         assert [(e.src, e.dst, e.type_label) for e in graph.edges] == [
@@ -463,10 +485,10 @@ class TestTripsGraph:
 
 
 class TestQaExtension:
-    def _base(self):
+    def _base(self, entities=("book",)):
         proc = _proc(
             ["Move the book to the library .", "The book rests .", "Dust falls ."],
-            ["book"],
+            entities,
         )
         lfs = [
             LogicalFormGraph(
@@ -504,6 +526,18 @@ class TestQaExtension:
         step1_edges = [e for e in extended.edges if e.src == "step.1"]
         step1_nodes = [n.id for n in graph.nodes if n.step_index == 1]
         assert sorted(e.dst for e in step1_edges) == sorted(step1_nodes)
+
+    def test_input_graph_left_as_built(self):
+        proc, graph = self._base()
+        extend_qa_graph(graph, proc.entities[0], proc)
+        fresh = self._base()[1]
+        assert (graph.nodes, graph.edges) == (fresh.nodes, fresh.edges)
+
+    def test_one_base_graph_serves_every_entity(self):
+        proc, graph = self._base(("book", "dust"))
+        reused = [extend_qa_graph(graph, e, proc) for e in proc.entities]
+        fresh = [extend_qa_graph(self._base(("book", "dust"))[1], e, proc) for e in proc.entities]
+        assert [(g.nodes, g.edges) for g in reused] == [(g.nodes, g.edges) for g in fresh]
 
     def test_absent_entity_warns(self, capsys):
         proc, graph = self._base()
