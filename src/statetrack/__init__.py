@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 # module -> the public names it defines
 _EXPORTS = {
     "corpus": ("Action", "Entity", "Procedure", "StateGrid", "Step", "StepAction",
-               "derive_actions", "load_procedures", "normalize"),
+               "load_procedures", "normalize"),
     "parses": ("ActionClass", "load_srl", "load_trips", "ontology_class"),
     "abstraction": ("EventFrame", "PassiveLocationFact", "abstract_events"),
     "rules": ("LocalDecision", "apply_rules", "match_argument"),

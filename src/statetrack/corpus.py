@@ -204,40 +204,22 @@ def canonical_names(rows) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Gold action derivation
+# Cell transitions
 
 def transition(before: str, after: str) -> Action:
     """The action that turns one grid cell into the next.
 
     Appearing from "-" is a CREATE, vanishing to "-" is a DESTROY, any other
     change of value (including known <-> unknown) is a MOVE, and identical
-    values mean no action.  Every action derivation and every metric tier
-    classifies cells through this one rule.
+    values mean no action.  The exported actions
+    (``reasoning.grid_to_action_rows``) and every metric tier classify cells
+    through this one rule.
     """
     if before == NONEXISTENT:
         return Action.NONE if after == NONEXISTENT else Action.CREATE
     if after == NONEXISTENT:
         return Action.DESTROY
     return Action.MOVE if before != after else Action.NONE
-
-
-def derive_actions(row: list[str]) -> list[StepAction]:
-    """Infer the per-step actions implied by a location row: the
-    ``transition`` of each pair of adjacent cells, with its locations."""
-    if len(row) < 2:
-        raise ValueError("row needs at least 2 cells")
-    actions = []
-    for before, after in zip(row, row[1:]):
-        action = transition(before, after)
-        if action is Action.CREATE:
-            actions.append(StepAction(action, to_loc=after))
-        elif action is Action.DESTROY:
-            actions.append(StepAction(action, from_loc=before))
-        elif action is Action.MOVE:
-            actions.append(StepAction(action, from_loc=before, to_loc=after))
-        else:
-            actions.append(StepAction(action))
-    return actions
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .parses import parses_by_step
 from .rules import LocalDecision, apply_rules, match_argument
 
 
-class EntityTimeline(namedtuple("EntityTimeline", "entity num_steps slots passive")):
+class EntityTimeline(namedtuple("EntityTimeline", "num_steps slots passive")):
     """One entity's local decisions per step (a dict keyed by step) and its
     passive facts (a list)."""
 
@@ -205,9 +205,7 @@ def predict(
         if not slots[name] and not passive[name]:
             rows[name] = [UNKNOWN] * (m + 1)
             continue
-        timeline = EntityTimeline(
-            entity=entity, num_steps=m, slots=slots[name], passive=passive[name]
-        )
+        timeline = EntityTimeline(num_steps=m, slots=slots[name], passive=passive[name])
         fixed = fix_actions(timeline, strict_destroy=strict_destroy)
         rows[name] = resolve_locations(fixed, timeline)
     return StateGrid(procedure_id=procedure.id, rows=rows)

@@ -44,24 +44,24 @@ RULE_NAMES = tuple(dict.fromkeys(
 ))
 
 
-class LocalDecision(namedtuple("LocalDecision", "step_index entity action rule frame_node")):
+class LocalDecision(namedtuple("LocalDecision", "entity action rule frame_node")):
     """One rule's decision for one entity at one step; ``frame_node`` is
     its provenance, the id of the frame node that fired."""
 
     __slots__ = ()
 
 
-def match_argument(arg: ArgRef, entity: Entity, step_index: int | None = None) -> bool:
+def match_argument(arg: ArgRef, entity: Entity, step_index: int) -> bool:
     """True when the argument refers to the entity.
 
     Matches the normalized phrase or its head noun (last token) against any
-    alias, or the argument span against a registered coreference mention.
+    alias, or the argument span against a coreference mention of the step.
     """
     norm = arg.norm
     head = norm.split(" ")[-1] if norm else ""
     if norm in entity.aliases or head in entity.aliases:
         return True
-    if step_index is not None and arg.span is not None:
+    if arg.span is not None:
         for span in entity.coref_spans(step_index):
             if spans_overlap(arg.span, span):
                 return True
@@ -103,7 +103,6 @@ def apply_rules(
                 if key not in decided and match_argument(arg, entity, step.index):
                     decided.add(key)
                     decisions.append(LocalDecision(
-                        step_index=step.index,
                         entity=entity,
                         action=_step_action(action, frame),
                         rule=rule,

@@ -2,11 +2,13 @@
 
 Nodes are predicates, entity mentions, and noun phrases, one graph per
 procedure.  Frame-based parses contribute untyped predicate-argument and
-argument-argument edges; logical-form parses contribute role-typed edges,
-with a single synthesized edge (labels of the shortest connecting path,
-joined by "|") standing in for pairs only connected through nodes that
-did not survive the simplification.  Mentions of the same phrase or the
-same entity are linked across sentences ("SAME" / "COREF").
+argument-argument edges.  Logical-form parses contribute a role-typed edge
+per parse edge between surviving nodes (those with a word and a span), and
+one synthesized edge, labelled with the shortest undirected path's labels
+joined by "|", for every other pair of surviving nodes the parse connects,
+even through surviving nodes ("rock sits on sand" gives rock->sand
+"AGENT|LOC").  Mentions of the same phrase or the same entity are linked
+across sentences ("SAME" / "COREF").
 
 A question-answering extension adds one question node tied to the queried
 entity's nodes and one node per step tied to that step's nodes.

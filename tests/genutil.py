@@ -44,7 +44,7 @@ def random_timeline(
                     location=ArgRef(loc, None, "N1"),
                 )
             )
-    return EntityTimeline(entity=entity, num_steps=m, slots=slots, passive=passive)
+    return EntityTimeline(num_steps=m, slots=slots, passive=passive)
 
 
 def _random_decision(rng: random.Random, t: int, entity: Entity, locations: list) -> LocalDecision:
@@ -57,6 +57,4 @@ def _random_decision(rng: random.Random, t: int, entity: Entity, locations: list
         action = StepAction(
             Action.MOVE, from_loc=rng.choice(locations), to_loc=rng.choice(locations)
         )
-    return LocalDecision(
-        step_index=t, entity=entity, action=action, rule="generated", frame_node=f"V{t}"
-    )
+    return LocalDecision(entity=entity, action=action, rule="generated", frame_node=f"V{t}")

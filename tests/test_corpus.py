@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -10,8 +11,6 @@ from statetrack.corpus import (
     Entity,
     StateGrid,
     Step,
-    StepAction,
-    derive_actions,
     find_all_mentions,
     grids_from_action_tsv,
     load_coref,
@@ -21,21 +20,9 @@ from statetrack.corpus import (
     render_json,
     spans_overlap,
     tokenize,
+    transition,
 )
 from statetrack.errors import SchemaError
-
-
-def _replay(initial, actions):
-    """The row a sequence of fully located actions leads to."""
-    row = [initial]
-    for act in actions:
-        if act.action is Action.DESTROY:
-            row.append("-")
-        elif act.action is Action.NONE:
-            row.append(row[-1])
-        else:
-            row.append(act.to_loc)
-    return row
 
 
 def _write_corpus(tmp_path, obj):
@@ -155,19 +142,23 @@ class TestLoading:
         path.write_text("#7\t1\twater\tMOVE\tsky\tsoil\n")
         assert grids_from_action_tsv(path) == {"#7": StateGrid("#7", {"water": ["sky", "soil"]})}
 
+
 class TestDeriveActions:
+    """The action between two adjacent cells, as every command derives it:
+    ``transition``."""
+
     def test_create_then_destroy(self):
-        actions = derive_actions(["-", "ocean", "ocean", "-"])
-        assert [a.action for a in actions] == [Action.CREATE, Action.NONE, Action.DESTROY]
-        assert actions[0].to_loc == "ocean"
-        assert actions[2].from_loc == "ocean"
+        row = ["-", "ocean", "ocean", "bay", "-"]
+        assert [transition(a, b) for a, b in zip(row, row[1:])] == [
+            Action.CREATE, Action.NONE, Action.MOVE, Action.DESTROY,
+        ]
 
     def test_identical_unknowns(self):
-        assert derive_actions(["?", "?"]) == [StepAction(Action.NONE)]
+        assert transition("?", "?") is Action.NONE
 
     def test_known_to_unknown_scores_as_move(self):
         # Oracle first: the reference scorer counts a move at step t when
-        # both cells exist and differ, which covers known -> unknown.
+        # both cells exist and differ, which covers known <-> unknown.
         def reference_move_steps(states):
             return [
                 t
@@ -175,23 +166,24 @@ class TestDeriveActions:
                 if states[t - 1] != "-" and states[t] != "-" and states[t - 1] != states[t]
             ]
 
-        assert reference_move_steps(["soil", "?"]) == [1]
-        actions = derive_actions(["soil", "?"])
-        assert actions == [StepAction(Action.MOVE, from_loc="soil", to_loc="?")]
+        assert reference_move_steps(["soil", "?", "soil"]) == [1, 2]
+        assert transition("soil", "?") is Action.MOVE
+        assert transition("?", "soil") is Action.MOVE
 
-    def test_length_and_roundtrip_properties(self):
-        rng = random.Random(7)
-        pool = ["-", "?", "pond", "lake", "soil"]
-        for _ in range(300):
-            row = [rng.choice(pool) for _ in range(rng.randint(2, 8))]
-            actions = derive_actions(row)
-            assert len(actions) == len(row) - 1
-            assert _replay(row[0], actions) == row
-            for t, act in enumerate(actions, start=1):
-                if act.action is Action.CREATE:
-                    assert row[t - 1] == "-"
-                if act.action is Action.DESTROY:
-                    assert row[t - 1] != "-"
+    def test_action_fixed_by_existence_and_equality(self):
+        # Each action is fixed by which of its two cells exist and whether
+        # they are equal; checked on every pair of cells from the pool.
+        pool = ["-", "?", "pond", "lake"]
+        for before, after in itertools.product(pool, repeat=2):
+            if before == after:
+                expected = Action.NONE
+            elif before == "-":
+                expected = Action.CREATE
+            elif after == "-":
+                expected = Action.DESTROY
+            else:
+                expected = Action.MOVE
+            assert transition(before, after) is expected, (before, after)
 
 
 class TestNormalize:

@@ -13,11 +13,11 @@ from statetrack.corpus import (
     Procedure,
     StateGrid,
     Step,
-    derive_actions,
     exists,
     find_all_mentions,
     grids_from_action_tsv,
     normalize,
+    transition,
 )
 from statetrack.errors import SchemaError
 from statetrack.metrics import (
@@ -240,8 +240,9 @@ class TestReport:
 
 # ---------------------------------------------------------------------------
 # Reference: the tiers as they were written before they shared
-# corpus.transition, with per-kind scans, per-criterion set extractors, an
-# entity x entity conversion loop and a per-cell derive_actions.
+# corpus.transition, with per-kind scans, per-criterion set extractors and
+# an entity x entity conversion loop.  The decision-tier reference takes
+# each cell's action from corpus.transition, as the exported actions do.
 
 def _ref_event_steps(row, kind):
     steps = []
@@ -395,9 +396,8 @@ def _ref_categorize(gold, procedures, parses, ontology, class_map):
         for ent_name in sorted(gold[pid].rows):
             row = gold[pid].rows[ent_name]
             entity = _ref_entity(proc, ent_name)
-            actions = derive_actions(row)
             for t in range(1, len(row)):
-                tag = actions[t - 1].action
+                tag = transition(row[t - 1], row[t])
                 if tag is Action.NONE:
                     continue
                 step = proc.step(t)
@@ -428,8 +428,8 @@ def _ref_decision(pred, gold, categories):
     for (pid, ent, t), category in sorted(categories.items()):
         gold_row = gold[pid].rows[ent]
         pred_row = pred[pid].rows[ent]
-        gold_action = derive_actions(gold_row)[t - 1].action
-        pred_action = derive_actions(pred_row)[t - 1].action
+        gold_action = transition(gold_row[t - 1], gold_row[t])
+        pred_action = transition(pred_row[t - 1], pred_row[t])
         action_ok = pred_action is gold_action
         bucket = tally[category.name]
         bucket["a"] += 1

@@ -15,13 +15,15 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # module eagerly: the names it re-exported and the modules it loaded, less
 # ``FixedSequence``, which ``resolve_locations`` no longer returns,
 # ``Ontology`` and ``ActionClassMap``: the configuration tables are plain dicts,
-# and ``find_mentions``: ``corpus.find_all_mentions`` is the one mention finder.
+# ``find_mentions``: ``corpus.find_all_mentions`` is the one mention finder,
+# and ``derive_actions``: ``reasoning.grid_to_action_rows`` is the one
+# derivation of exported actions.
 EXPORTED = [
     "Action", "ActionClass", "Entity", "EntityTimeline", "EventFrame",
     "LocalDecision", "MetricReport", "PassiveLocationFact",
     "Procedure", "SemanticGraph", "StateGrid", "Step", "StepAction", "abstract_events",
     "abstraction", "apply_rules", "build_srl_graph", "build_trips_graph",
-    "categorize_decisions", "corpus", "derive_actions", "errors", "eval_decision_level",
+    "categorize_decisions", "corpus", "errors", "eval_decision_level",
     "eval_document_level", "eval_sentence_level", "extend_qa_graph",
     "fix_actions", "load_procedures", "load_srl", "load_trips", "match_argument", "metrics",
     "normalize", "ontology_class", "parses", "predict", "reasoning", "resolve_locations",

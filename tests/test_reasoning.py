@@ -14,7 +14,6 @@ from statetrack.corpus import (
     StateGrid,
     Step,
     StepAction,
-    derive_actions,
     grids_from_action_tsv,
     load_procedures,
     transition,
@@ -50,15 +49,22 @@ ENTITY = Entity("thing", ("thing",))
 def _timeline(decisions_by_step, m=None, passive=()):
     slots = {}
     for t, action in decisions_by_step.items():
-        slots[t] = [
-            LocalDecision(step_index=t, entity=ENTITY, action=action, rule="t", frame_node=f"V{t}")
-        ]
+        slots[t] = [LocalDecision(entity=ENTITY, action=action, rule="t", frame_node=f"V{t}")]
     m = m if m is not None else (max(slots) if slots else 1)
-    return EntityTimeline(entity=ENTITY, num_steps=m, slots=slots, passive=list(passive))
+    return EntityTimeline(num_steps=m, slots=slots, passive=list(passive))
 
 
 def _acts(*pairs):
     return [StepAction(a, from_loc=f, to_loc=t) for a, f, t in pairs]
+
+
+def _exported(row):
+    """The action rows that commands export for one entity's location row."""
+    return grid_to_action_rows(StateGrid("p", {ENTITY.canonical_name: row}))
+
+
+def _exported_actions(row):
+    return [action for _, _, _, action, _, _ in _exported(row)]
 
 
 class TestFixActions:
@@ -108,11 +114,11 @@ class TestFixActions:
     def test_conflicting_decisions_keep_first(self):
         slots = {
             1: [
-                LocalDecision(1, ENTITY, StepAction(Action.CREATE, to_loc="pond"), "a", "V1"),
-                LocalDecision(1, ENTITY, StepAction(Action.DESTROY, from_loc="mud"), "b", "V2"),
+                LocalDecision(ENTITY, StepAction(Action.CREATE, to_loc="pond"), "a", "V1"),
+                LocalDecision(ENTITY, StepAction(Action.DESTROY, from_loc="mud"), "b", "V2"),
             ]
         }
-        timeline = EntityTimeline(ENTITY, 1, slots, [])
+        timeline = EntityTimeline(1, slots, [])
         fixed = fix_actions(timeline)
         assert fixed[0].action is Action.CREATE
 
@@ -129,8 +135,8 @@ def _refix_timeline(actions, m):
     slots = {}
     for t, action in enumerate(actions, start=1):
         if action.action is not Action.NONE:
-            slots[t] = [LocalDecision(t, ENTITY, action, "refix", f"V{t}")]
-    return EntityTimeline(ENTITY, m, slots, [])
+            slots[t] = [LocalDecision(ENTITY, action, "refix", f"V{t}")]
+    return EntityTimeline(m, slots, [])
 
 
 class TestResolveLocations:
@@ -157,7 +163,7 @@ class TestResolveLocations:
         assert row == ["?", "?"]
         # The grid cannot show a move between two unknown cells, so the
         # exported action is NONE.
-        assert [a.action for a in derive_actions(row)] == [Action.NONE]
+        assert _exported_actions(row) == ["NONE"]
 
     def test_created_entity_starts_nonexistent(self):
         actions = _acts((Action.CREATE, None, "pond"))
@@ -197,8 +203,7 @@ class TestResolveLocations:
             (Action.NONE, None, None),
         ), timeline)
         assert row == ["shelf", "shelf", "shelf", "shelf"]
-        final_actions = derive_actions(row)
-        assert all(a.action is Action.NONE for a in final_actions)
+        assert _exported_actions(row) == ["NONE", "NONE", "NONE"]
 
     def test_idle_passive_fill_stops_at_actions(self):
         from statetrack.abstraction import ArgRef, PassiveLocationFact
@@ -212,7 +217,7 @@ class TestResolveLocations:
         ), timeline)
         # the passive fact becomes the target of the earlier targetless move
         assert row == ["?", "mud", "mud", "mud"]
-        assert derive_actions(row)[0] == StepAction(Action.MOVE, from_loc="?", to_loc="mud")
+        assert _exported(row)[0] == ("p", 1, "thing", "MOVE", "?", "mud")
 
     def test_idle_passive_fill_absorbed_by_unlocated_create(self):
         from statetrack.abstraction import ArgRef, PassiveLocationFact
@@ -224,8 +229,7 @@ class TestResolveLocations:
             (Action.NONE, None, None),
         ), timeline)
         assert row == ["-", "nest", "nest"]
-        final_actions = derive_actions(row)
-        assert [a.action for a in final_actions] == [Action.CREATE, Action.NONE]
+        assert _exported_actions(row) == ["CREATE", "NONE"]
 
 
 @pytest.fixture(scope="module")
@@ -335,7 +339,7 @@ def _reference_predict(procedure, lf_graphs, ontology, class_map, synonyms):
         if not slots and not passive:
             rows[entity.canonical_name] = [UNKNOWN] * (m + 1)
             continue
-        timeline = EntityTimeline(entity=entity, num_steps=m, slots=slots, passive=passive)
+        timeline = EntityTimeline(num_steps=m, slots=slots, passive=passive)
         rows[entity.canonical_name] = resolve_locations(fix_actions(timeline), timeline)
     return StateGrid(procedure_id=procedure.id, rows=rows)
 
@@ -420,9 +424,12 @@ def test_predict_matches_the_per_entity_grouping(data_dir, small_corpus, cfg):
             seen["change"] += any(d.rule == "change_affected_res" for d in decisions)
             frame_of = {f.node_id: f for f in frames}
             for d in decisions:
-                # matched through a coreference mention, not an alias
+                # matched through a coreference mention, not an alias: no
+                # role matches once its span is dropped
                 roles = frame_of[d.frame_node].roles.values()
-                seen["coref"] += not any(match_argument(a, d.entity) for a in roles)
+                seen["coref"] += not any(
+                    match_argument(a._replace(span=None), d.entity, step.index) for a in roles
+                )
             for fact in facts:
                 holders = [e for e in proc.entities if match_argument(fact.holder, e, step.index)]
                 seen["passive"] += bool(holders)
@@ -475,26 +482,24 @@ class TestConsistency:
             fixed = fix_actions(timeline)
             row = resolve_locations(fixed, timeline)
             assert len(row) == timeline.num_steps + 1
-            final_actions = derive_actions(row)
-            _assert_sequence_invariants(row, final_actions)
+            _assert_sequence_invariants(row, _exported_actions(row))
 
     def test_reconciliation_rewrites_inexpressible_move(self):
         # A lone move with no evidence cannot show up in the grid: its row
-        # is unknown on both sides, so the action derived from it is NONE.
+        # is unknown on both sides, so the exported action is NONE.
         actions = _acts((Action.MOVE, None, None))
         row = resolve_locations(actions, _timeline({}, m=1))
-        final_actions = derive_actions(row)
         assert row == ["?", "?"]
-        assert [a.action for a in final_actions] == [Action.NONE]
+        assert _exported_actions(row) == ["NONE"]
 
 
 def _assert_sequence_invariants(row, actions):
     destroyed_since_create = False
     for t, act in enumerate(actions, start=1):
-        if act.action is Action.CREATE:
+        if act == "CREATE":
             assert row[t - 1] == "-", "create while existing"
             destroyed_since_create = False
-        elif act.action is Action.DESTROY:
+        elif act == "DESTROY":
             assert row[t - 1] != "-", "destroy while nonexistent"
             assert not destroyed_since_create, "second destroy without a create"
             destroyed_since_create = True

@@ -69,11 +69,11 @@ RECORDS = {
     ),
     "PassiveLocationFact": lambda: PassiveLocationFact(1, _arg(), ArgRef("lake", None, "N2")),
     "LocalDecision": lambda: LocalDecision(
-        1, _entity(), StepAction(Action.CREATE, to_loc="?"), "create_affected", "V1"
+        _entity(), StepAction(Action.CREATE, to_loc="?"), "create_affected", "V1"
     ),
     "EntityTimeline": lambda: EntityTimeline(
-        _entity(), 2,
-        {1: [LocalDecision(1, _entity(), StepAction(Action.MOVE, to_loc="sea"), "move_affected",
+        2,
+        {1: [LocalDecision(_entity(), StepAction(Action.MOVE, to_loc="sea"), "move_affected",
                            "V1")]},
         [PassiveLocationFact(2, _arg(), ArgRef("lake", None, "N2"))],
     ),

@@ -40,7 +40,6 @@ def reference_apply_rules(frames, entities, step, disabled=frozenset()):
                 decided.add(key)
                 decisions.append(
                     LocalDecision(
-                        step_index=step.index,
                         entity=entity,
                         action=StepAction(action, from_loc=from_loc, to_loc=to_loc),
                         rule=rule,

@@ -139,10 +139,10 @@ class TestRuleTable:
 
 class TestMatchArgument:
     def test_article_stripped(self):
-        assert match_argument(ArgRef("the oxygen", None, "N1"), _ent("oxygen"))
+        assert match_argument(ArgRef("the oxygen", None, "N1"), _ent("oxygen"), 1)
 
     def test_different_noun(self):
-        assert not match_argument(ArgRef("carbon dioxide", None, "N1"), _ent("oxygen"))
+        assert not match_argument(ArgRef("carbon dioxide", None, "N1"), _ent("oxygen"), 1)
 
     def test_coref_overlap(self):
         entity = Entity("bones", ("bones",), coref_mentions=((3, (4, 5)),))
@@ -150,4 +150,4 @@ class TestMatchArgument:
         assert not match_argument(ArgRef("them", (4, 5), "N1"), entity, step_index=2)
 
     def test_head_noun(self):
-        assert match_argument(ArgRef("the molten magma", None, "N1"), _ent("magma"))
+        assert match_argument(ArgRef("the molten magma", None, "N1"), _ent("magma"), 1)

@@ -241,7 +241,8 @@ def test_match_argument_matches_the_reference():
             (rng.randint(1, 2), (s, s + 1)) for s in rng.sample(range(6), rng.randint(0, 2))
         )
         entity = Entity("e", rng.choice(_ALIASES), mentions)
-        step_index = rng.choice([None, 1, 2])
+        # mentions sit at steps 1 and 2, so step 3 matches by alias only
+        step_index = rng.choice([1, 2, 3])
         expected = _Reference.match_argument(arg, entity, step_index)
         assert match_argument(arg, entity, step_index) is expected
         # the cached norm gives the same answer on a second call
