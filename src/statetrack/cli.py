@@ -171,11 +171,12 @@ def cmd_predict(args) -> int:
                               f" known rules: {', '.join(RULE_NAMES)}")
     worker = functools.partial(_predict_procedure, args.parses, ontology, class_map, synonyms,
                                disabled, args.strict_destroy)
-    if args.jobs > 1:
+    jobs = min(args.jobs, len(procedures))  # the pool forks every worker at once
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-        chunksize = max(1, -(-len(procedures) // (4 * args.jobs)))  # about 4 chunks a worker
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        chunksize = max(1, -(-len(procedures) // (4 * jobs)))  # about 4 chunks a worker
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_proc = list(pool.map(worker, procedures, chunksize=chunksize))
     else:
         per_proc = list(map(worker, procedures))

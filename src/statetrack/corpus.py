@@ -418,7 +418,7 @@ def read_json_records(path, what: str) -> list:
     JSON, or whose top level is neither, is a SchemaError."""
     try:
         data = json.loads(read_input(path, what))
-    except ValueError as exc:  # not JSON, or a number past int's digit limit
+    except (ValueError, RecursionError) as exc:  # not JSON, past int's digit limit, too deep
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
     return [data] if type(data) is dict else as_list(data, str(path))
 
@@ -605,7 +605,7 @@ def grids_from_action_tsv(path) -> dict[str, StateGrid]:
         rows = {}
         for name, per_step in entities.items():
             where, m = f"{path}: {pid}/{name}", max(per_step)
-            if sorted(per_step) != list(range(1, m + 1)):
+            if len(per_step) != m or min(per_step) != 1:  # distinct steps, so 1..m
                 raise SchemaError(f"{where}: expected {m + 1} cells, steps 1..{m} present,"
                                   f" got {sorted(per_step)}")
             row = [per_step[1][0]]

@@ -17,16 +17,15 @@ Cost: a graph is two lists and indexes nothing.  A builder keeps its edges
 in a dict used as an insertion-ordered set, so adding an edge is O(1) and
 the first insertion fixes its position; the graph checks its node ids once,
 when it is made.  Entity mentions are found once per step for all entities
-(``find_all_mentions``: the step is lower-cased and indexed once) and each
-phrase is normalized once.  Path synthesis runs one breadth-first search
-per surviving node of a sentence, O(n * (n + e)) for n nodes and e edges
-of that sentence's parse.  Cross-sentence linking finds a phrase node's
-entities through a per-step index from token position to entity names,
-O(span length) per node, and emits links only from within a group of
-equal normalized text (SAME) or of one entity (COREF).  The output, whose
-SAME and COREF pairs grow quadratically with the repeats of a phrase,
-bounds the total.  ``render_graph_record`` writes that output in one pass
-over the nodes and edges with fixed templates, rather than through the
+(``find_all_mentions``), into one index per step from token position to
+the names of the entities mentioned there; a node's kind and its
+cross-sentence links read that index, O(span length) per node.  Path
+synthesis runs one breadth-first search per surviving node of a sentence,
+O(n * (n + e)) for n nodes and e edges of that sentence's parse.  Links
+come only from within a group of equal normalized text (SAME) or of one
+entity (COREF), so the output, whose pairs grow quadratically with the
+repeats of a phrase, bounds the total.  ``render_graph_record`` writes
+that output in one pass with fixed templates, rather than through the
 pure-Python encoder ``json.dumps`` uses whenever ``indent`` is set.
 
 Nodes and edges are named tuples: making one is a tuple allocation, and
@@ -56,10 +55,6 @@ SAME = "SAME"
 COREF = "COREF"
 QUESTION_EDGE = "QUESTION"
 STEP_EDGE = "STEP"
-
-# step index -> (entity name, the entity's mention spans in that step),
-# in entity order
-StepMentions = dict[int, list[tuple[str, list[tuple[int, int]]]]]
 
 
 class GNode(namedtuple("GNode", "id kind step_index span text")):
@@ -165,17 +160,26 @@ def write_graph_records(path, records: list[str]) -> None:
     write_output(path, parts + ["\n]\n"] if records else ["[]\n"])
 
 
-def _step_mentions(procedure: Procedure) -> StepMentions:
-    names = [e.canonical_name for e in procedure.entities]
-    return {
-        step.index: list(zip(names, find_all_mentions(procedure.entities, step)))
-        for step in procedure.steps
-    }
+def _index_mentions(procedure: Procedure):
+    """Per step index: the step's entity mention spans, sorted and each
+    once, and a map from token position to the names of the entities
+    mentioned there."""
+    spans_by_step, covered_by_step = {}, {}
+    for step in procedure.steps:
+        spans, at = set(), {}
+        covered_by_step[step.index] = at
+        for entity, found in zip(procedure.entities, find_all_mentions(procedure.entities, step)):
+            spans.update(found)
+            for start, end in found:
+                for position in range(start, end):
+                    at.setdefault(position, set()).add(entity.canonical_name)
+        spans_by_step[step.index] = sorted(spans)
+    return spans_by_step, covered_by_step
 
 
-def _mention_spans(step_mentions: StepMentions, step: Step) -> set[tuple[int, int]]:
-    """Spans in a step that mention a tracked entity."""
-    return {span for _, spans in step_mentions[step.index] for span in spans}
+def _phrase_kind(span: tuple[int, int], at: dict[int, set[str]]) -> str:
+    """A non-predicate node's kind: entity_mention when a token is mentioned."""
+    return "noun_phrase" if at.keys().isdisjoint(range(*span)) else "entity_mention"
 
 
 def _check_span(span: tuple[int, int], step: Step, what: str) -> None:
@@ -189,12 +193,12 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
     """Graph over frame parses: untyped edges inside each verb frame, plus
     cross-sentence mention links."""
     by_index = parses_by_step(procedure, srl_docs)
-    step_mentions = _step_mentions(procedure)
+    spans_by_step, covered_by_step = _index_mentions(procedure)
     nodes: list[GNode] = []
     edges: dict[GEdge, None] = {}  # an insertion-ordered set
     for step in procedure.steps:
         doc = by_index[step.index]
-        mentions = _mention_spans(step_mentions, step)
+        at = covered_by_step[step.index]
         span_to_id: dict[tuple[int, int], str] = {}
 
         def ensure(span: tuple[int, int], text: str, kind: str) -> str:
@@ -202,10 +206,9 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
             if span in span_to_id:
                 return span_to_id[span]
             node_id = f"s{step.index}.{span[0]}.{span[1]}"
-            resolved = kind
-            if kind != "predicate" and any(spans_overlap(span, m) for m in mentions):
-                resolved = "entity_mention"
-            nodes.append(GNode(node_id, resolved, step.index, span, text))
+            if kind != "predicate":
+                kind = _phrase_kind(span, at)
+            nodes.append(GNode(node_id, kind, step.index, span, text))
             span_to_id[span] = node_id
             return node_id
 
@@ -218,55 +221,48 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
                 for b in arg_ids[i + 1 :]:
                     if a != b:  # two args of one span
                         edges[GEdge(a, b, "")] = None
-        for span in sorted(mentions):
-            if span not in span_to_id and not any(spans_overlap(span, s) for s in span_to_id):
-                text = " ".join(step.tokens[span[0] : span[1]])
-                ensure(span, text, "entity_mention")
-    _link_across_sentences(nodes, edges, step_mentions)
+        for span in spans_by_step[step.index]:
+            if not any(spans_overlap(span, s) for s in span_to_id):
+                ensure(span, " ".join(step.tokens[span[0] : span[1]]), "entity_mention")
+    _link_across_sentences(nodes, edges, covered_by_step)
     return SemanticGraph(nodes, list(edges))
 
 
 def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -> SemanticGraph:
     """Graph over logical-form parses, keeping role labels on the edges."""
     by_index = parses_by_step(procedure, lf_graphs)
-    step_mentions = _step_mentions(procedure)
+    covered_by_step = _index_mentions(procedure)[1]
     nodes: list[GNode] = []
     edges: dict[GEdge, None] = {}  # an insertion-ordered set
     for step in procedure.steps:
         lf = by_index[step.index]
-        mentions = _mention_spans(step_mentions, step)
+        at = covered_by_step[step.index]
         included: dict[str, str] = {}  # lf node id -> graph node id
         for node in lf.nodes:
             if not node.word or node.span is None:
                 continue
             _check_span(node.span, step, f"node {node.id}")
-            if node.is_predicate:
-                kind = "predicate"
-            elif any(spans_overlap(node.span, m) for m in mentions):
-                kind = "entity_mention"
-            else:
-                kind = "noun_phrase"
+            kind = "predicate" if node.is_predicate else _phrase_kind(node.span, at)
             gid = f"s{step.index}.{node.id}"
             nodes.append(GNode(gid, kind, step.index, node.span, node.word))
             included[node.id] = gid
 
         adjacency: dict[str, list[tuple[str, str]]] = {n.id: [] for n in lf.nodes}
-        direct: set[frozenset] = set()
         for edge in lf.edges:
             adjacency[edge.src].append((edge.dst, edge.label))
             adjacency[edge.dst].append((edge.src, edge.label))
             if edge.src != edge.dst and edge.src in included and edge.dst in included:
                 edges[GEdge(included[edge.src], included[edge.dst], edge.label)] = None
-                direct.add(frozenset((edge.src, edge.dst)))
 
-        # Pairs (a, b) with a before b in parse order, in that order.
+        # Pairs (a, b) with a before b in parse order, in that order; a path
+        # of one label is a parse edge, emitted above.
         order = list(included)
         for k, a in enumerate(order):
             labels = _shortest_labels(adjacency, a)
             for b in order[k + 1 :]:
-                if b in labels and frozenset((a, b)) not in direct:
+                if len(labels.get(b, ())) > 1:
                     edges[GEdge(included[a], included[b], "|".join(labels[b]))] = None
-    _link_across_sentences(nodes, edges, step_mentions)
+    _link_across_sentences(nodes, edges, covered_by_step)
     return SemanticGraph(nodes, list(edges))
 
 
@@ -294,7 +290,7 @@ def _shortest_labels(adjacency, start: str) -> dict[str, tuple[str, ...]]:
 
 
 def _link_across_sentences(
-    nodes: list[GNode], edges: dict[GEdge, None], step_mentions: StepMentions
+    nodes: list[GNode], edges: dict[GEdge, None], covered_by_step: dict[int, dict[int, set[str]]]
 ) -> None:
     """SAME edges for equal phrases, COREF edges for same-entity mentions.
 
@@ -302,24 +298,13 @@ def _link_across_sentences(
     normalized texts are equal, else COREF when both overlap a mention of
     one entity.  Edges come out in the order of the pair's (first, second)
     positions among the phrase nodes."""
-    # step index -> token position -> names of the entities mentioned there
-    covered: dict[int, dict[int, set[str]]] = {}
-    for step_index, mentions in step_mentions.items():
-        at = covered[step_index] = {}
-        for name, spans in mentions:
-            for start, end in spans:
-                for position in range(start, end):
-                    at.setdefault(position, set()).add(name)
     phrase_nodes = [n for n in nodes if n.kind in ("entity_mention", "noun_phrase")]
     by_text: dict[str, list[int]] = {}
     by_entity: dict[str, list[int]] = {}
     for k, node in enumerate(phrase_nodes):
         by_text.setdefault(normalize(node.text), []).append(k)
-        at = covered[node.step_index]
-        names = set()
-        for position in range(*node.span):
-            names.update(at.get(position, ()))
-        for name in names:
+        at = covered_by_step[node.step_index]
+        for name in {name for p in range(*node.span) for name in at.get(p, ())}:
             by_entity.setdefault(name, []).append(k)
 
     links: dict[tuple[int, int], str] = {}

@@ -102,6 +102,43 @@ class TestPredict:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
 
+    @pytest.mark.parametrize("count, pools", [(1, []), (2, [2])])
+    def test_jobs_are_capped_at_the_procedure_count(self, data_dir, tmp_path, monkeypatch,
+                                                    count, pools):
+        # The pool forks all its workers at the first submit, so --jobs 5000
+        # must ask for no more workers than there are procedures; one
+        # procedure runs in process.  The stand-in pool maps serially.
+        import concurrent.futures
+
+        made = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        corpus = tmp_path / "corpus.json"
+        procedures = json.loads((data_dir / "corpus_predict.json").read_text())
+        corpus.write_text(json.dumps(procedures[:count]))
+        outputs = []
+        for jobs in ("1", "5000"):
+            out = tmp_path / f"pred{jobs}.tsv"
+            args = _predict_args(data_dir, out, ["--jobs", jobs])
+            args[2] = str(corpus)
+            assert main(args) == 0
+            outputs.append(out.read_bytes())
+        assert made == pools
+        assert outputs[1] == outputs[0]
+
     def test_empty_corpus_writes_an_empty_file(self, data_dir, tmp_path):
         corpus = tmp_path / "empty.json"
         corpus.write_text("[]")
@@ -276,6 +313,25 @@ class TestEvaluate:
         ])
         assert code == 4
         assert f"{pred}:2: expected an integer, got 'x'" in capsys.readouterr().err
+
+    def test_huge_step_is_exit_4(self, data_dir, tmp_path, capsys):
+        # Steps are checked by count and least value, so a row at step 3e18
+        # asks for no list of 3e18 steps.
+        pred = tmp_path / "pred.tsv"
+        pred.write_text("p1\t3000000000000000000\twater\tNONE\troot\troot\n")
+        report = tmp_path / "report.json"
+        code = main([
+            "evaluate",
+            "--pred", str(pred),
+            "--corpus", str(data_dir / "corpus_small.json"),
+            "--tier", "sentence",
+            "--output", str(report),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pred}: p1/water: expected 3000000000000000001 cells")
+        assert "Traceback" not in err
+        assert not report.exists()
 
     def test_decision_tier_requires_parses(self, data_dir, tmp_path):
         pred = tmp_path / "pred.tsv"
@@ -560,6 +616,24 @@ def _set_first_node_id(value):
         if sentence.get("root") == old:
             sentence["root"] = value
     return edit
+
+
+@pytest.mark.parametrize("target", ["corpus", "coref", "trips"])
+def test_deeply_nested_json_is_exit_4(data_dir, tmp_path, capsys, target):
+    # json.loads raises RecursionError, not ValueError, past its depth.
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    coref = tmp_path / "coref.json"
+    coref.write_text("[]")
+    path = {"corpus": corpus, "coref": coref, "trips": parses / "book-1.trips.json"}[target]
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    out = tmp_path / "graphs.json"
+    code = main(["build-graph", "--corpus", str(corpus), "--coref", str(coref),
+                 "--parses", str(parses), "--output", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{path}: invalid JSON: " in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 class TestBuildGraphSchemaErrors:

@@ -9,8 +9,9 @@ is run again and, for predict, with ``--jobs 2``.
 
 Mutations: a value swapped for one of another type, a deletion, a
 duplication, a ``null``, a span or index out of range, the file replaced by
-a directory, and non-UTF-8 bytes.  JSON inputs are mutated as JSON values,
-TSV and text inputs as lines and tab-separated fields.
+a directory, and non-UTF-8 bytes; in JSON inputs also a value replaced by
+brackets nested 100,000 deep.  JSON inputs are mutated as JSON values, TSV
+and text inputs as lines and tab-separated fields.
 
 A second property respells one predicted entity in another case for
 ``evaluate --pred``: the report keeps its bytes, and the entity spelled
@@ -47,7 +48,9 @@ TEXT_INPUTS = [
 ]
 MUTATIONS = ["swap", "delete", "duplicate", "null", "out-of-range", "directory", "non-utf8"]
 SWAPS = [True, 0, 7, 1.5, "x", "", [], {}, [1, 2]]
-FIELD_SWAPS = ["x", "1.5", "MOVE", "-", "?", "the"]
+FIELD_SWAPS = ["x", "1.5", "MOVE", "-", "?", "the", "3000000000000000000"]
+# json.dumps cannot encode brackets this deep, so they replace a marker in its text
+NEST_MARK, NEST = "\0nest", "[" * 100_000 + "]" * 100_000
 OUT_OF_RANGE = [[0, 99], [-1, 1], [3, 2], [5, 5], 0, -1, 99]
 
 
@@ -123,6 +126,9 @@ def _mutate_json(data, text: str, mutation: str) -> str:
         parent.insert(key, copy.deepcopy(parent[key]))
     elif mutation == "null":
         parent[key] = None
+    elif mutation == "nest":
+        parent[key] = NEST_MARK
+        return json.dumps(doc).replace(json.dumps(NEST_MARK), NEST)
     else:
         parent[key] = data.draw(st.sampled_from(OUT_OF_RANGE))
     return json.dumps(doc)
@@ -162,7 +168,8 @@ def _run(argv: list[str]) -> tuple[int, str]:
 @given(data=st.data())
 def test_every_command_keeps_its_contract_on_mutated_inputs(data):
     name = data.draw(st.sampled_from(JSON_INPUTS + TEXT_INPUTS), label="input")
-    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    mutations = MUTATIONS + ["nest"] if name in JSON_INPUTS else MUTATIONS
+    mutation = data.draw(st.sampled_from(mutations), label="mutation")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_fixtures(work)

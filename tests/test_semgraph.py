@@ -94,6 +94,36 @@ def _all_pairs_links(graph, procedure):
     return out
 
 
+def _phrase_kind(procedure, step, span):
+    """Reference: a phrase node is an entity mention when its span overlaps
+    a mention of any entity in its step."""
+    mentions = [m for e in procedure.entities for m in find_all_mentions((e,), step)[0]]
+    return "entity_mention" if any(spans_overlap(span, m) for m in mentions) else "noun_phrase"
+
+
+VOCAB = ["the", "water", "rock", "salt", "it", "sea", "a"]
+NAMES = ["water", "rock", "salt", "salt water", "sea"]
+
+
+def _random_step(rng, index):
+    tokens = tuple(rng.choice(VOCAB) for _ in range(rng.randint(2, 7)))
+    return Step(index, " ".join(tokens), tokens)
+
+
+def _random_entities(rng, steps):
+    """One to three of NAMES, overlapping one another's mentions, each with
+    one-token coreference mentions in about a third of the steps."""
+    entities = []
+    for name in rng.sample(NAMES, rng.randint(1, 3)):
+        coref = []
+        for step in steps:
+            if rng.random() < 0.3:
+                a = rng.randrange(len(step.tokens))
+                coref.append((step.index, (a, a + 1)))
+        entities.append(Entity(name, (name,), tuple(coref)))
+    return tuple(entities)
+
+
 class TestSemanticGraph:
     def test_duplicate_node_rejected(self):
         nodes = [GNode("a", "noun_phrase", 1, (0, 1), "a")]
@@ -204,14 +234,15 @@ class TestSrlGraph:
         ]
 
     def test_links_match_all_pairs_scan(self):
+        # Also pins each node's kind, and the mention-only nodes: mention
+        # spans, in order, that overlap no frame span and no earlier one.
         rng = random.Random(23)
-        vocab = ["the", "water", "rock", "salt", "it", "sea", "a"]
-        names = ["water", "rock", "salt", "salt water", "sea"]
         for _ in range(60):
             steps, docs = [], []
             for index in range(1, rng.randint(2, 5)):
-                tokens = tuple(rng.choice(vocab) for _ in range(rng.randint(2, 7)))
-                steps.append(Step(index, " ".join(tokens), tokens))
+                step = _random_step(rng, index)
+                tokens = step.tokens
+                steps.append(step)
                 frames = []
                 for _ in range(rng.randint(0, 2)):
                     p = rng.randrange(len(tokens))
@@ -224,15 +255,7 @@ class TestSrlGraph:
                         args.append(SrlArg("ARG1", (a, b), " ".join(tokens[a:b])))
                     frames.append(SrlFrame((p, p + 1), tokens[p], tuple(args)))
                 docs.append(SrlDoc(index, tuple(frames)))
-            entities = []
-            for name in rng.sample(names, rng.randint(1, 3)):
-                coref = []
-                for step in steps:
-                    if rng.random() < 0.3:
-                        a = rng.randrange(len(step.tokens))
-                        coref.append((step.index, (a, a + 1)))
-                entities.append(Entity(name, (name,), tuple(coref)))
-            proc = Procedure("r", tuple(steps), tuple(entities))
+            proc = Procedure("r", tuple(steps), _random_entities(rng, steps))
             graph = build_srl_graph(proc, docs)
             links = [
                 (e.src, e.dst, e.type_label)
@@ -240,6 +263,23 @@ class TestSrlGraph:
                 if e.type_label in (SAME, COREF)
             ]
             assert links == _all_pairs_links(graph, proc)
+
+            for step, doc in zip(steps, docs):
+                first = {}  # frame span -> whether its first role is predicate
+                for frame in doc.frames:
+                    first.setdefault(frame.predicate_span, True)
+                    for arg in frame.args:
+                        first.setdefault(arg.span, False)
+                want = {
+                    span: "predicate" if predicate else _phrase_kind(proc, step, span)
+                    for span, predicate in first.items()
+                }
+                mentions = {m for e in proc.entities for m in find_all_mentions((e,), step)[0]}
+                for m in sorted(mentions):
+                    if not any(spans_overlap(m, s) for s in want):
+                        want[m] = "entity_mention"
+                got = {n.span: n.kind for n in graph.nodes if n.step_index == step.index}
+                assert got == want
 
     def test_coref_edge(self):
         proc = Procedure(
@@ -459,6 +499,44 @@ class TestTripsGraph:
                         want.append((f"s1.{a}", f"s1.{b}", "|".join(labels)))
             got = [(e.src, e.dst, e.type_label) for e in graph.edges]
             assert got == list(dict.fromkeys(want))
+
+    def test_kinds_and_links_match_references(self):
+        rng = random.Random(31)
+        for _ in range(60):
+            steps, lfs = [], []
+            for index in range(1, rng.randint(2, 5)):
+                step = _random_step(rng, index)
+                steps.append(step)
+                nodes = []
+                for i in range(rng.randint(1, 6)):
+                    a = rng.randrange(len(step.tokens))
+                    b = rng.randint(a + 1, min(a + 3, len(step.tokens)))
+                    word = "" if rng.random() < 0.2 else " ".join(step.tokens[a:b])
+                    indicator = rng.choice(["F", "THE", "A"])
+                    nodes.append(_node(f"N{i}", word, (a, b), indicator=indicator))
+                ids = [nd.id for nd in nodes]
+                edges = [
+                    LfEdge(rng.choice(ids), rng.choice("AB"), rng.choice(ids))
+                    for _ in range(rng.randint(0, len(ids)))
+                ]
+                lfs.append(LogicalFormGraph(index, tuple(nodes), tuple(edges), None))
+            proc = Procedure("r", tuple(steps), _random_entities(rng, steps))
+            graph = build_trips_graph(proc, lfs)
+
+            want = [
+                (f"s{step.index}.{nd.id}",
+                 "predicate" if nd.is_predicate else _phrase_kind(proc, step, nd.span))
+                for step, lf in zip(steps, lfs)
+                for nd in lf.nodes
+                if nd.word
+            ]
+            assert [(n.id, n.kind) for n in graph.nodes] == want
+            links = [
+                (e.src, e.dst, e.type_label)
+                for e in graph.edges
+                if e.type_label in (SAME, COREF)
+            ]
+            assert links == _all_pairs_links(graph, proc)
 
     def test_no_self_loops_or_duplicates(self, data_dir):
         from statetrack.corpus import load_procedures
