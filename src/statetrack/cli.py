@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -146,7 +147,7 @@ def _load_configs(args):
 
 def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, strict, procedure):
     """The action rows of one procedure; bound to the run's settings with
-    ``functools.partial``, so a worker pool pickles them once per chunk."""
+    ``functools.partial``."""
     from . import reasoning
 
     grid = reasoning.predict(
@@ -171,16 +172,9 @@ def cmd_predict(args) -> int:
                               f" known rules: {', '.join(RULE_NAMES)}")
     worker = functools.partial(_predict_procedure, args.parses, ontology, class_map, synonyms,
                                disabled, args.strict_destroy)
-    jobs = min(args.jobs, len(procedures))  # the pool forks every worker at once
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
-
-        chunksize = max(1, -(-len(procedures) // (4 * jobs)))  # about 4 chunks a worker
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_proc = list(pool.map(worker, procedures, chunksize=chunksize))
-    else:
-        per_proc = list(map(worker, procedures))
-    rows = [row for chunk in per_proc for row in chunk]
+    # At most one slice per procedure; without os.fork (Windows) all run in process.
+    jobs = max(1, min(args.jobs, len(procedures))) if hasattr(os, "fork") else 1
+    rows = _rows_in_slices(worker, procedures, jobs)
     if args.format == "tsv":
         corpus_mod.write_action_tsv(args.output, rows)
     else:
@@ -191,6 +185,68 @@ def cmd_predict(args) -> int:
         ]
         _write_json(args.output, records)
     return EXIT_OK
+
+
+def _rows_in_slices(worker, procedures, jobs):
+    """The rows ``worker`` gives for ``procedures``, in input order.
+
+    The procedures are cut into ``jobs`` contiguous slices of near-equal
+    size.  The parent computes the first slice; a forked child computes each
+    other slice and sends its rows, pickled, through a pipe of its own.  A
+    child that fails sends nothing and exits non-zero, and the parent runs
+    its slice again in process, so an error is the one ``jobs=1`` gives: that
+    of the first failing procedure in input order.  Whatever the parent
+    raises, it first kills and reaps every child it has not yet read.
+    Forking is safe because no command starts a thread.
+    """
+    bounds = [len(procedures) * k // jobs for k in range(jobs + 1)]
+    slices = [procedures[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    def run(part):
+        return [row for procedure in part for row in worker(procedure)]
+
+    rows = []
+    children = []  # (pid, read end of its pipe) of each child not yet reaped, in slice order
+    try:
+        if jobs > 1:
+            import pickle
+            import signal
+
+            sys.stdout.flush()  # a child must not write the parent's buffered output again
+            sys.stderr.flush()
+            for part in slices[1:]:
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:  # the child never returns from here
+                    try:
+                        os.close(read)
+                        data = memoryview(pickle.dumps(run(part), pickle.HIGHEST_PROTOCOL))
+                        while data:
+                            data = data[os.write(write, data):]
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+                os.close(write)
+                children.append((pid, read))
+        rows += run(slices[0])
+        for part in slices[1:]:
+            pid, read = children[0]
+            data = b"".join(iter(functools.partial(os.read, read, 1 << 20), b""))
+            os.close(read)
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            rows += pickle.loads(data) if status == 0 else run(part)
+    finally:
+        for pid, read in children:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return rows
 
 
 def cmd_abstract(args) -> int:

@@ -102,30 +102,20 @@ class TestPredict:
             outputs.append(out.read_bytes())
         assert outputs[1] == outputs[0]
 
-    @pytest.mark.parametrize("count, pools", [(1, []), (2, [2])])
+    @pytest.mark.parametrize("count, forks", [(1, 0), (2, 1)])
     def test_jobs_are_capped_at_the_procedure_count(self, data_dir, tmp_path, monkeypatch,
-                                                    count, pools):
-        # The pool forks all its workers at the first submit, so --jobs 5000
-        # must ask for no more workers than there are procedures; one
-        # procedure runs in process.  The stand-in pool maps serially.
-        import concurrent.futures
-
+                                                    count, forks):
+        # The parent runs the first slice and forks one child per other
+        # slice, so --jobs 5000 must fork no more children than there are
+        # procedures after the first; one procedure runs in process.
         made = []
+        fork = os.fork
 
-        class Pool:
-            def __init__(self, max_workers):
-                made.append(max_workers)
+        def counting_fork():
+            made.append(1)
+            return fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         corpus = tmp_path / "corpus.json"
         procedures = json.loads((data_dir / "corpus_predict.json").read_text())
         corpus.write_text(json.dumps(procedures[:count]))
@@ -136,8 +126,15 @@ class TestPredict:
             args[2] = str(corpus)
             assert main(args) == 0
             outputs.append(out.read_bytes())
-        assert made == pools
+        assert len(made) == forks
         assert outputs[1] == outputs[0]
+
+    def test_jobs_without_fork_run_in_process(self, data_dir, tmp_path, monkeypatch):
+        # Windows has no os.fork: --jobs N then gives the same bytes in process.
+        monkeypatch.delattr(os, "fork")
+        out = tmp_path / "pred.tsv"
+        assert main(_predict_args(data_dir, out, ["--jobs", "2"])) == 0
+        assert out.read_bytes() == (data_dir / "golden" / "predictions.tsv").read_bytes()
 
     def test_empty_corpus_writes_an_empty_file(self, data_dir, tmp_path):
         corpus = tmp_path / "empty.json"
@@ -518,6 +515,14 @@ class TestOtherCommands:
     def test_cli_import_does_not_load_multiprocessing(self):
         assert not _loaded_by_cli_import("multiprocessing")
 
+    # predict --jobs forks its own children, so no run loads a process pool,
+    # and only a run that forks loads pickle.
+    @pytest.mark.parametrize("jobs, loaded", [("1", []), ("2", ["pickle"])])
+    def test_predict_loads_pickle_only_when_it_forks(self, data_dir, tmp_path, jobs, loaded):
+        argv = _predict_args(data_dir, tmp_path / "pred.tsv", ["--jobs", jobs])
+        modules = ("pickle", "multiprocessing", "concurrent.futures")
+        assert _loaded_by_cli_import(*modules, argv=argv) == loaded
+
     def test_cli_import_loads_no_command_module(self):
         assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.semgraph",
                                          "statetrack.reasoning", "statetrack.rules")
@@ -616,6 +621,67 @@ def _set_first_node_id(value):
         if sentence.get("root") == old:
             sentence["root"] = value
     return edit
+
+
+def _six_procedures(data_dir, tmp_path):
+    """The predict corpus three times over, each copy renamed, with its
+    parses: six procedures, so --jobs 2 and 3 give the parent and each child
+    a slice of two or three."""
+    procedures = json.loads((data_dir / "corpus_predict.json").read_text())
+    parses = tmp_path / "parses"
+    parses.mkdir()
+    corpus = []
+    for k in range(3):
+        for proc in procedures:
+            renamed = dict(proc, id=f"{proc['id']}-{k}")
+            corpus.append(renamed)
+            (parses / f"{renamed['id']}.trips.json").write_bytes(
+                (data_dir / "parses" / f"{proc['id']}.trips.json").read_bytes())
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(corpus))
+    return path, parses, [proc["id"] for proc in corpus]
+
+
+_BREAK_PARSE = {
+    "missing": lambda path: path.unlink(),
+    "malformed": lambda path: path.write_text("{not json"),
+}
+
+
+@pytest.mark.parametrize("first, second", [("missing", "malformed"), ("malformed", "missing")])
+def test_jobs_report_the_first_failing_procedure(data_dir, tmp_path, capsys, first, second):
+    # Procedure 3 fails in the child's slice under --jobs 2 and 3, and
+    # procedure 5, later in input order, fails another way: every --jobs
+    # gives the error of procedure 3, as --jobs 1 does, and no output.
+    corpus, parses, ids = _six_procedures(data_dir, tmp_path)
+    _BREAK_PARSE[first](parses / f"{ids[3]}.trips.json")
+    _BREAK_PARSE[second](parses / f"{ids[5]}.trips.json")
+    out = tmp_path / "pred.tsv"
+    results = []
+    for jobs in ("1", "2", "3"):
+        code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
+                     "--jobs", jobs, "--output", str(out)])
+        results.append((code, capsys.readouterr().err))
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert results[0][0] == {"missing": 3, "malformed": 4}[first]
+    assert ids[3] in results[0][1]
+    assert results[1] == results[2] == results[0]
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_failure_in_the_parents_slice_leaves_no_child(data_dir, tmp_path, capsys, jobs):
+    corpus, parses, ids = _six_procedures(data_dir, tmp_path)
+    _BREAK_PARSE["malformed"](parses / f"{ids[0]}.trips.json")
+    out = tmp_path / "pred.tsv"
+    code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
+                 "--jobs", jobs, "--output", str(out)])
+    assert code == 4
+    assert ids[0] in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("target", ["corpus", "coref", "trips"])

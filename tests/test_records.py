@@ -1,10 +1,10 @@
 """The public records keep the value semantics the pipeline relies on.
 
 Records are named tuples: equal fields give equal objects with equal
-hashes, a pickle round-trip (``predict --jobs`` pickles procedures) gives an
-equal object of the same class, and a set of graph edges removes
-duplicates.  ``StepAction`` and ``SemanticGraph`` keep their checks, and a
-pickle round-trip goes through them.
+hashes, a pickle round-trip gives an equal object of the same class, and a
+set of graph edges removes duplicates.  ``StepAction`` and
+``SemanticGraph`` keep their checks, and a pickle round-trip goes through
+them.
 """
 
 import pickle
