@@ -13,7 +13,6 @@ validation error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -145,19 +144,8 @@ def _load_configs(args):
             default_role_synonyms(args.roles))
 
 
-def _predict_procedure(parse_dir, ontology, class_map, synonyms, disabled, strict, procedure):
-    """The action rows of one procedure; bound to the run's settings with
-    ``functools.partial``."""
-    from . import reasoning
-
-    grid = reasoning.predict(
-        procedure, load_trips(_parse_file(parse_dir, procedure.id, "trips")),
-        ontology, class_map, synonyms, disabled_rules=disabled, strict_destroy=strict,
-    )
-    return reasoning.grid_to_action_rows(grid, [e.canonical_name for e in procedure.entities])
-
-
 def cmd_predict(args) -> int:
+    from . import reasoning
     from .rules import RULE_NAMES
 
     procedures, _ = _load_corpus(args)
@@ -170,11 +158,21 @@ def cmd_predict(args) -> int:
         if unknown:
             raise ConfigError(f"{args.rules_off}: unknown rule(s) {', '.join(map(repr, unknown))};"
                               f" known rules: {', '.join(RULE_NAMES)}")
-    worker = functools.partial(_predict_procedure, args.parses, ontology, class_map, synonyms,
-                               disabled, args.strict_destroy)
+
+    def rows_of(part):
+        out = []
+        for procedure in part:
+            grid = reasoning.predict(
+                procedure, load_trips(_parse_file(args.parses, procedure.id, "trips")),
+                ontology, class_map, synonyms, disabled_rules=disabled,
+                strict_destroy=args.strict_destroy,
+            )
+            out += reasoning.grid_to_action_rows(grid)
+        return out
+
     # At most one slice per procedure; without os.fork (Windows) all run in process.
     jobs = max(1, min(args.jobs, len(procedures))) if hasattr(os, "fork") else 1
-    rows = _rows_in_slices(worker, procedures, jobs)
+    rows = _rows_in_slices(rows_of, procedures, jobs)
     if args.format == "tsv":
         corpus_mod.write_action_tsv(args.output, rows)
     else:
@@ -187,12 +185,14 @@ def cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _rows_in_slices(worker, procedures, jobs):
-    """The rows ``worker`` gives for ``procedures``, in input order.
+def _rows_in_slices(rows_of, procedures, jobs):
+    """``rows_of`` applied to ``procedures`` in slices, joined in input order.
 
     The procedures are cut into ``jobs`` contiguous slices of near-equal
-    size.  The parent computes the first slice; a forked child computes each
-    other slice and sends its rows, pickled, through a pipe of its own.  A
+    size, and ``rows_of(slice)`` gives the list of rows of one slice.  The
+    parent computes the first slice; a forked child computes each other
+    slice, with the closure and everything it holds inherited through the
+    fork, and sends its rows, pickled, through a pipe of its own.  A
     child that fails sends nothing and exits non-zero, and the parent runs
     its slice again in process, so an error is the one ``jobs=1`` gives: that
     of the first failing procedure in input order.  Whatever the parent
@@ -201,9 +201,6 @@ def _rows_in_slices(worker, procedures, jobs):
     """
     bounds = [len(procedures) * k // jobs for k in range(jobs + 1)]
     slices = [procedures[a:b] for a, b in zip(bounds, bounds[1:])]
-
-    def run(part):
-        return [row for procedure in part for row in worker(procedure)]
 
     rows = []
     children = []  # (pid, read end of its pipe) of each child not yet reaped, in slice order
@@ -225,7 +222,7 @@ def _rows_in_slices(worker, procedures, jobs):
                 if pid == 0:  # the child never returns from here
                     try:
                         os.close(read)
-                        data = memoryview(pickle.dumps(run(part), pickle.HIGHEST_PROTOCOL))
+                        data = memoryview(pickle.dumps(rows_of(part), pickle.HIGHEST_PROTOCOL))
                         while data:
                             data = data[os.write(write, data):]
                     except BaseException:
@@ -233,14 +230,14 @@ def _rows_in_slices(worker, procedures, jobs):
                     os._exit(0)
                 os.close(write)
                 children.append((pid, read))
-        rows += run(slices[0])
+        rows += rows_of(slices[0])
         for part in slices[1:]:
             pid, read = children[0]
-            data = b"".join(iter(functools.partial(os.read, read, 1 << 20), b""))
+            data = b"".join(iter(lambda: os.read(read, 1 << 20), b""))
             os.close(read)
             status = os.waitpid(pid, 0)[1]
             del children[0]
-            rows += pickle.loads(data) if status == 0 else run(part)
+            rows += pickle.loads(data) if status == 0 else rows_of(part)
     finally:
         for pid, read in children:
             os.close(read)
@@ -292,12 +289,12 @@ def cmd_build_graph(args) -> int:
         if args.qa_entity:
             for name in args.qa_entity:
                 key = corpus_mod.normalize(name)
-                matches = [e for e in proc.entities if key in e.aliases]
-                if not matches:
+                entity = next((e for e in proc.entities if key in e.aliases), None)
+                if entity is None:
                     continue
-                extended = semgraph.extend_qa_graph(graph, matches[0], proc)
+                extended = semgraph.extend_qa_graph(graph, entity, proc)
                 records.append(
-                    semgraph.render_graph_record(proc.id, matches[0].canonical_name, extended)
+                    semgraph.render_graph_record(proc.id, entity.canonical_name, extended)
                 )
         else:
             records.append(semgraph.render_graph_record(proc.id, None, graph))

@@ -180,10 +180,10 @@ def predict(
 
     One pass over the steps abstracts each step's parse, applies the rule
     table, and files each decision under its entity and step and each
-    passive fact under every entity its holder matches.  Each entity's
-    timeline then goes through the two forward passes.  Entities that never
-    receive a decision or a passive fact are untracked and get "?" in every
-    cell.
+    passive fact under every entity its holder matches.  Every entity's
+    timeline then goes through the two forward passes, in the procedure's
+    entity order; one that never receives a decision or a passive fact comes
+    out as "?" in every cell.
     """
     by_index = parses_by_step(procedure, lf_graphs)
     entities = list(procedure.entities)
@@ -198,14 +198,9 @@ def predict(
                 if match_argument(fact.holder, entity, step.index):
                     passive[entity.canonical_name].append(fact)
 
-    m = procedure.num_steps
     rows: dict[str, list[str]] = {}
-    for entity in entities:
-        name = entity.canonical_name
-        if not slots[name] and not passive[name]:
-            rows[name] = [UNKNOWN] * (m + 1)
-            continue
-        timeline = EntityTimeline(num_steps=m, slots=slots[name], passive=passive[name])
+    for name in slots:
+        timeline = EntityTimeline(procedure.num_steps, slots[name], passive[name])
         fixed = fix_actions(timeline, strict_destroy=strict_destroy)
         rows[name] = resolve_locations(fixed, timeline)
     return StateGrid(procedure_id=procedure.id, rows=rows)

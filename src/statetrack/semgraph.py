@@ -182,10 +182,11 @@ def _phrase_kind(span: tuple[int, int], at: dict[int, set[str]]) -> str:
     return "noun_phrase" if at.keys().isdisjoint(range(*span)) else "entity_mention"
 
 
-def _check_span(span: tuple[int, int], step: Step, what: str) -> None:
+def _check_span(span: tuple[int, int], procedure: Procedure, step: Step, what: str) -> None:
     if span[0] < 0 or span[1] > len(step.tokens) or span[0] >= span[1]:
         raise SchemaError(
-            f"step {step.index}: {what} span {span} outside sentence of {len(step.tokens)} tokens"
+            f"procedure {procedure.id}: step {step.index}: {what} span {span}"
+            f" outside sentence of {len(step.tokens)} tokens"
         )
 
 
@@ -202,7 +203,7 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
         span_to_id: dict[tuple[int, int], str] = {}
 
         def ensure(span: tuple[int, int], text: str, kind: str) -> str:
-            _check_span(span, step, kind)
+            _check_span(span, procedure, step, kind)
             if span in span_to_id:
                 return span_to_id[span]
             node_id = f"s{step.index}.{span[0]}.{span[1]}"
@@ -241,7 +242,7 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
         for node in lf.nodes:
             if not node.word or node.span is None:
                 continue
-            _check_span(node.span, step, f"node {node.id}")
+            _check_span(node.span, procedure, step, f"node {node.id}")
             kind = "predicate" if node.is_predicate else _phrase_kind(node.span, at)
             gid = f"s{step.index}.{node.id}"
             nodes.append(GNode(gid, kind, step.index, node.span, node.word))

@@ -5,11 +5,13 @@ one PASS line (run with -s to see them).  The external-dataset statistics
 check is skipped, with a message, when the dataset is not present.
 """
 
+import ast
 import copy
 import json
 import math
 import os
 import random
+import re
 import time
 from pathlib import Path
 
@@ -249,10 +251,33 @@ def test_decision_category_statistics_external():
     _ok("decision-category statistics on the external split")
 
 
+def _defined_tests(path: Path) -> set[str]:
+    """The test functions of a module, as ``test_x`` or ``TestY::test_x``."""
+    found = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test"):
+            found.add(node.name)
+        elif isinstance(node, ast.ClassDef) and node.name.startswith("Test"):
+            found.update(f"{node.name}::{f.name}" for f in node.body
+                         if isinstance(f, ast.FunctionDef) and f.name.startswith("test"))
+    return found
+
+
 def test_rule_coverage_documented():
     """Each local rule and each rewrite rule maps to a named unit test in
-    the README coverage table."""
+    the README coverage table, and every test the README names exists: by
+    full id (``tests/test_x.py::TestY::test_z``) in that module, by class
+    and name alone (``TestY::test_z``) in exactly one test module."""
     readme = (Path(__file__).parent.parent / "README.md").read_text()
+    defined = {p.name: _defined_tests(p) for p in Path(__file__).parent.glob("test_*.py")}
+    full = re.findall(r"`tests/(test_\w+\.py)::((?:Test\w+::)?test_\w+)`", readme)
+    bare = re.findall(r"`(Test\w+::test_\w+)`", readme)
+    assert len(full) >= 14 and len(bare) >= 3, (full, bare)
+    for module, test in full:
+        assert test in defined.get(module, ()), f"README names tests/{module}::{test}"
+    for test in bare:
+        homes = [module for module, tests in defined.items() if test in tests]
+        assert len(homes) == 1, f"README names {test}, defined in {homes}"
     for rule in RULE_NAMES:
         assert rule in readme, f"rule {rule} missing from README coverage table"
     for test_name in (

@@ -129,6 +129,57 @@ class TestPredict:
         assert len(made) == forks
         assert outputs[1] == outputs[0]
 
+    def test_run_settings_reach_every_slice(self, data_dir, tmp_path):
+        # Five procedures, the fixtures twice and rock-1; the last two are in
+        # a child's slice under --jobs 2 and 3.  rock-1 destroys its rock in
+        # the valley, then again in the cave: by default the second destroy
+        # becomes a move (the row enters "cave" from "-", exported as CREATE),
+        # --strict-destroy drops it, and --rules-off destroy_affected drops both.
+        procedures = json.loads((data_dir / "corpus_predict.json").read_text())
+        procedures += [dict(proc, id=proc["id"].replace("-1", "-2")) for proc in procedures]
+        parses = tmp_path / "parses"
+        parses.mkdir()
+        for proc in procedures:
+            source = data_dir / "parses" / f"{proc['id'].replace('-2', '-1')}.trips.json"
+            (parses / f"{proc['id']}.trips.json").write_bytes(source.read_bytes())
+        steps, sentences = [], []
+        for index, place in ((1, "valley"), (2, "cave")):
+            text = f"The rock cracks apart in the {place} ."
+            steps.append({"index": index, "text": text, "tokens": text.split()})
+            nodes = [("V1", "F", "BREAK-OBJECT", "cracks", [2, 3]),
+                     ("N1", "THE", "ROCK", "rock", [1, 2]),
+                     ("N2", "THE", place.upper(), place, [6, 7])]
+            sentences.append({
+                "sentence_index": index, "root": "V1",
+                "nodes": [dict(zip(("id", "indicator", "type", "word", "span"), n))
+                          for n in nodes],
+                "edges": [{"src": "V1", "label": "AFFECTED", "dst": "N1"},
+                          {"src": "V1", "label": "IN", "dst": "N2"}],
+            })
+        procedures.append({"id": "rock-1", "steps": steps, "entities": [{"name": "rock"}],
+                           "gold_grid": {"rock": ["valley", "-", "-"]}})
+        (parses / "rock-1.trips.json").write_text(json.dumps(sentences))
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(procedures))
+        off = tmp_path / "off.txt"
+        off.write_text("destroy_affected\n")
+
+        def run(extra, jobs="1"):
+            out = tmp_path / "pred.tsv"
+            assert main(["predict", "--corpus", str(corpus), "--parses", str(parses),
+                         "--output", str(out), "--jobs", jobs, *extra]) == 0
+            return out.read_text()
+
+        default = run([])
+        assert "rock-1\t2\trock\tCREATE\t-\tcave\n" in default
+        assert "rock-1\t2\trock\tNONE\t-\t-\n" in run(["--strict-destroy"])
+        for extra in (["--strict-destroy"], ["--rules-off", str(off)],
+                      ["--strict-destroy", "--rules-off", str(off)]):
+            serial = run(extra)
+            assert serial != default, extra
+            for jobs in ("2", "3"):
+                assert run(extra, jobs) == serial, (extra, jobs)
+
     def test_jobs_without_fork_run_in_process(self, data_dir, tmp_path, monkeypatch):
         # Windows has no os.fork: --jobs N then gives the same bytes in process.
         monkeypatch.delattr(os, "fork")
@@ -797,21 +848,34 @@ class TestBuildGraphSchemaErrors:
 
     def test_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):
         """The loader accepts the span; building the last graph rejects it,
-        after the first procedure's record has been rendered."""
+        after the first procedure's record has been rendered, and the error
+        names the procedure."""
+        self._check_span_error(data_dir, tmp_path, capsys, "trips",
+                               lambda s: s["nodes"][0].update(span=[0, 99]),
+                               "node V1 span (0, 99)")
+
+    def test_srl_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):
+        self._check_span_error(data_dir, tmp_path, capsys, "srl",
+                               lambda s: s["frames"][0]["predicate"].update(span=[50, 51]),
+                               "predicate span (50, 51)")
+
+    @staticmethod
+    def _check_span_error(data_dir, tmp_path, capsys, parser, edit, message):
         corpus, parses = _copy_inputs(data_dir, tmp_path)
-        _break_parse("erosion-1.trips.json", lambda s: s["nodes"][0].update(span=[0, 99]))(
-            corpus, parses
-        )
+        _break_parse(f"erosion-1.{parser}.json", edit)(corpus, parses)
         assert [p["id"] for p in json.loads(corpus.read_text())][-1] == "erosion-1"
         out = tmp_path / "graphs.json"
         code = main([
             "build-graph",
             "--corpus", str(corpus),
             "--parses", str(parses),
+            "--parser", parser,
             "--output", str(out),
         ])
         assert code == 4
-        assert "outside sentence" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: procedure erosion-1: step 3: {message} outside sentence of 8 tokens\n"
+        )
         assert not out.exists()
 
 

@@ -413,13 +413,15 @@ def test_predict_matches_the_per_entity_grouping(data_dir, small_corpus, cfg):
     rng = random.Random(5)
     cases += [_random_procedure(rng, f"r{k}") for k in range(300)]
 
-    seen = {"conflict": 0, "change": 0, "shared": 0, "coref": 0, "passive": 0}
+    seen = {"conflict": 0, "change": 0, "shared": 0, "coref": 0, "passive": 0, "untracked": 0}
     for proc, graphs in cases:
         assert predict(proc, graphs, *cfg).rows == _reference_predict(proc, graphs, *cfg).rows
+        tracked = set()  # entities with a decision or a passive fact
         for step, graph in zip(proc.steps, graphs):
             frames, facts = abstract_events(graph, *cfg)
             decisions = apply_rules(frames, list(proc.entities), step)
             per_entity = [d.entity.canonical_name for d in decisions]
+            tracked.update(per_entity)
             seen["conflict"] += len(per_entity) > len(set(per_entity))
             seen["change"] += any(d.rule == "change_affected_res" for d in decisions)
             frame_of = {f.node_id: f for f in frames}
@@ -434,6 +436,8 @@ def test_predict_matches_the_per_entity_grouping(data_dir, small_corpus, cfg):
                 holders = [e for e in proc.entities if match_argument(fact.holder, e, step.index)]
                 seen["passive"] += bool(holders)
                 seen["shared"] += len(holders) > 1
+                tracked.update(e.canonical_name for e in holders)
+        seen["untracked"] += sum(e.canonical_name not in tracked for e in proc.entities)
     assert all(count > 0 for count in seen.values()), seen
 
 
