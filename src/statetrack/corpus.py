@@ -149,6 +149,12 @@ class Step(namedtuple("Step", "index text tokens")):
 
     __slots__ = ()
 
+    def check_span(self, span: tuple[int, int], *what: str) -> None:
+        """SchemaError unless 0 <= start < end <= len(tokens); ``what`` names the span."""
+        if not 0 <= span[0] < span[1] <= len(self.tokens):
+            raise SchemaError(f"step {self.index}: {' '.join(what)} span {span}"
+                              f" outside sentence of {len(self.tokens)} tokens")
+
 
 class Entity(namedtuple("Entity", "canonical_name aliases coref_mentions", defaults=((),))):
     """A tracked entity.  The canonical name is the first alias; extra
@@ -533,8 +539,8 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
 def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
     """Attach sidecar coreference mentions to the matching procedures.  A
     mention's ``entity`` must name an alias of an entity of its procedure,
-    and its step and span must lie within that procedure's steps; every
-    error names the file and, once its id is read, the procedure."""
+    its step a step of it, and its span pass that step's ``check_span``;
+    every error names the file and, once its id is read, the procedure."""
     source = str(path)
     by_id = {p.id: p for p in procedures}
     mentions: dict[str, dict[str, list]] = {}
@@ -553,14 +559,9 @@ def load_coref(path, procedures: list[Procedure]) -> list[Procedure]:
                     raise SchemaError(f"mention of unknown entity {raw_name!r}")
                 step = as_int(require_key(men, "step", "mention"), "mention step")
                 span = as_span(require_key(men, "span", "mention"), "mention span")
-                if span[0] >= span[1]:
-                    raise SchemaError(f"bad span {span} for {ent_name!r}")
                 if not 1 <= step <= proc.num_steps:
                     raise SchemaError(f"coref step {step} out of range")
-                if span[0] < 0:
-                    raise SchemaError(f"coref span {span} starts before step {step}")
-                if span[1] > len(proc.step(step).tokens):
-                    raise SchemaError(f"coref span {span} exceeds step {step} tokens")
+                proc.step(step).check_span(span, "coref mention", repr(ent_name))
                 mentions.setdefault(pid, {}).setdefault(ent_name, []).append((step, span))
         except SchemaError as exc:
             where = source if pid is None else f"{source}: procedure {pid}"

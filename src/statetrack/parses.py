@@ -176,16 +176,28 @@ def _load_sentences(path, parse_obj) -> list:
 
 
 def parses_by_step(procedure, parses) -> dict:
-    """A procedure's parses keyed by sentence index: every step must have
-    one, and every parse must be of a step."""
+    """A procedure's parses keyed by sentence index: every step must have one,
+    every parse be of a step, and every span pass its step's ``check_span``."""
     by_index = {p.sentence_index: p for p in parses}
     steps = {s.index for s in procedure.steps}
-    missing = sorted(steps - by_index.keys())
-    if missing:
-        raise SchemaError(f"procedure {procedure.id}: no parse for step(s) {missing}")
-    extra = sorted(by_index.keys() - steps)
-    if extra:
-        raise SchemaError(f"procedure {procedure.id}: no step for parsed sentence(s) {extra}")
+    try:
+        if missing := sorted(steps - by_index.keys()):
+            raise SchemaError(f"no parse for step(s) {missing}")
+        if extra := sorted(by_index.keys() - steps):
+            raise SchemaError(f"no step for parsed sentence(s) {extra}")
+        for step in procedure.steps:
+            parse = by_index[step.index]
+            if type(parse) is SrlDoc:
+                for frame in parse.frames:
+                    step.check_span(frame.predicate_span, "predicate")
+                    for arg in frame.args:
+                        step.check_span(arg.span, "noun_phrase")
+            else:
+                for node in parse.nodes:
+                    if node.span is not None:
+                        step.check_span(node.span, "node", node.id)
+    except SchemaError as exc:
+        raise SchemaError(f"procedure {procedure.id}: {exc}") from None
     return by_index
 
 

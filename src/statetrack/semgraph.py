@@ -42,13 +42,11 @@ from json.encoder import encode_basestring_ascii as _json_str
 from .corpus import (
     Entity,
     Procedure,
-    Step,
     find_all_mentions,
     normalize,
     spans_overlap,
     write_output,
 )
-from .errors import SchemaError
 from .parses import LogicalFormGraph, SrlDoc, parses_by_step
 
 SAME = "SAME"
@@ -182,14 +180,6 @@ def _phrase_kind(span: tuple[int, int], at: dict[int, set[str]]) -> str:
     return "noun_phrase" if at.keys().isdisjoint(range(*span)) else "entity_mention"
 
 
-def _check_span(span: tuple[int, int], procedure: Procedure, step: Step, what: str) -> None:
-    if span[0] < 0 or span[1] > len(step.tokens) or span[0] >= span[1]:
-        raise SchemaError(
-            f"procedure {procedure.id}: step {step.index}: {what} span {span}"
-            f" outside sentence of {len(step.tokens)} tokens"
-        )
-
-
 def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGraph:
     """Graph over frame parses: untyped edges inside each verb frame, plus
     cross-sentence mention links."""
@@ -202,20 +192,18 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
         at = covered_by_step[step.index]
         span_to_id: dict[tuple[int, int], str] = {}
 
-        def ensure(span: tuple[int, int], text: str, kind: str) -> str:
-            _check_span(span, procedure, step, kind)
+        def ensure(span: tuple[int, int], text: str, predicate: bool = False) -> str:
             if span in span_to_id:
                 return span_to_id[span]
             node_id = f"s{step.index}.{span[0]}.{span[1]}"
-            if kind != "predicate":
-                kind = _phrase_kind(span, at)
+            kind = "predicate" if predicate else _phrase_kind(span, at)
             nodes.append(GNode(node_id, kind, step.index, span, text))
             span_to_id[span] = node_id
             return node_id
 
         for frame in doc.frames:
-            pred_id = ensure(frame.predicate_span, frame.predicate_text, "predicate")
-            arg_ids = [ensure(arg.span, arg.text, "noun_phrase") for arg in frame.args]
+            pred_id = ensure(frame.predicate_span, frame.predicate_text, predicate=True)
+            arg_ids = [ensure(arg.span, arg.text) for arg in frame.args]
             for arg_id in arg_ids:
                 edges[GEdge(pred_id, arg_id, "")] = None
             for i, a in enumerate(arg_ids):
@@ -224,7 +212,7 @@ def build_srl_graph(procedure: Procedure, srl_docs: list[SrlDoc]) -> SemanticGra
                         edges[GEdge(a, b, "")] = None
         for span in spans_by_step[step.index]:
             if not any(spans_overlap(span, s) for s in span_to_id):
-                ensure(span, " ".join(step.tokens[span[0] : span[1]]), "entity_mention")
+                ensure(span, " ".join(step.tokens[span[0] : span[1]]))
     _link_across_sentences(nodes, edges, covered_by_step)
     return SemanticGraph(nodes, list(edges))
 
@@ -242,7 +230,6 @@ def build_trips_graph(procedure: Procedure, lf_graphs: list[LogicalFormGraph]) -
         for node in lf.nodes:
             if not node.word or node.span is None:
                 continue
-            _check_span(node.span, procedure, step, f"node {node.id}")
             kind = "predicate" if node.is_predicate else _phrase_kind(node.span, at)
             gid = f"s{step.index}.{node.id}"
             nodes.append(GNode(gid, kind, step.index, node.span, node.word))

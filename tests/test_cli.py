@@ -1118,7 +1118,9 @@ class TestCorefSidecar:
 
     @pytest.mark.parametrize("step, span, message", [
         (9, [0, 1], "coref step 9 out of range"),
-        (2, [0, 99], "coref span (0, 99) exceeds step 2 tokens"),
+        pytest.param(2, [0, 99],
+                     "step 2: coref mention 'magma' span (0, 99) outside sentence of 6 tokens",
+                     id="2-span-outside-sentence"),
     ])
     def test_mention_outside_its_sentence_names_the_procedure(
         self, data_dir, tmp_path, capsys, step, span, message
@@ -1245,3 +1247,74 @@ def test_parses_must_cover_exactly_the_steps(data_dir, tmp_path, capsys, kind, c
     assert code == 4
     assert capsys.readouterr().err == f"error: procedure erosion-1: {message}\n"
     assert not out.exists()
+
+
+# Sentence 1 of erosion-1 has 9 tokens.  Each span lies outside it: past its
+# end, empty, reversed, before its start.
+_BAD_SPANS = [[0, 99], [3, 3], [5, 2], [-1, 1]]
+
+
+def _bad_node(index, **fields):
+    def edit(sentence, span):
+        sentence["nodes"][index].update(fields, span=span)
+        return span
+    return edit
+
+
+# The loader rejects an argument span that overlaps its predicate's before
+# any span meets its sentence: the predicate case drops the frame's
+# arguments, and the argument case's past-the-end span starts after the
+# predicate (1, 2).  Each edit returns the span it wrote.
+def _bad_predicate(sentence, span):
+    sentence["frames"][0].update(args=[], predicate={"span": span, "text": "flows"})
+    return span
+
+
+def _bad_argument(sentence, span):
+    if span == [0, 99]:
+        span = [5, 99]
+    sentence["frames"][0]["args"][2]["span"] = span
+    return span
+
+
+_SPAN_TARGETS = {
+    "node": ("trips", _bad_node(0), "node V1"),
+    "wordless-node": ("trips", _bad_node(3, word=""), "node N3"),
+    "predicate": ("srl", _bad_predicate, "predicate"),
+    "argument": ("srl", _bad_argument, "noun_phrase"),
+}
+
+
+@pytest.mark.parametrize("span", _BAD_SPANS, ids=lambda span: "{}-{}".format(*span))
+@pytest.mark.parametrize("target", list(_SPAN_TARGETS))
+def test_span_outside_its_sentence_is_one_error_for_every_command(
+    data_dir, tmp_path, capsys, target, span
+):
+    """A parse span outside its sentence (a node's, on a node build-graph
+    keeps or on one it drops for having no word, or a frame predicate's or
+    argument's) is exit 4 with one stderr line and no output from every
+    command that reads the parse file."""
+    kind, edit, what = _SPAN_TARGETS[target]
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    path = parses / f"erosion-1.{kind}.json"
+    sentences = json.loads(path.read_text())
+    written = tuple(edit(sentences[0], span))
+    path.write_text(json.dumps(sentences))
+    if kind == "trips":
+        commands = [
+            ["predict", "--jobs", "1"], ["predict", "--jobs", "2"], ["abstract"],
+            ["evaluate", "--tier", "decision", "--pred",
+             str(data_dir / "golden" / "predictions.tsv")],
+            ["build-graph"], ["build-graph", "--qa-entity", "rock"],
+        ]
+    else:
+        commands = [["build-graph", "--parser", "srl"]]
+    expected = (
+        f"error: procedure erosion-1: step 1: {what} span {written} outside sentence of 9 tokens\n"
+    )
+    out = tmp_path / "out"
+    for command in commands:
+        code = main([*command, "--corpus", str(corpus), "--parses", str(parses),
+                     "--output", str(out)])
+        assert (code, capsys.readouterr().err) == (4, expected), command
+        assert not out.exists(), command

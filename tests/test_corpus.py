@@ -287,6 +287,20 @@ def test_find_all_mentions_matches_the_per_entity_scan():
     assert seen_multi and seen_overlap and seen_coref
 
 
+class TestCheckSpan:
+    STEP = Step(2, "a b c", ["a", "b", "c"])
+
+    @pytest.mark.parametrize("span", [(0, 3), (2, 3), (0, 1)])
+    def test_span_inside_the_sentence_passes(self, span):
+        self.STEP.check_span(span, "node", "V1")
+
+    @pytest.mark.parametrize("span", [(0, 4), (3, 3), (2, 1), (-1, 1), (3, 4)])
+    def test_span_outside_the_sentence_names_step_owner_and_length(self, span):
+        with pytest.raises(SchemaError) as info:
+            self.STEP.check_span(span, "node", "V1")
+        assert str(info.value) == f"step 2: node V1 span {span} outside sentence of 3 tokens"
+
+
 class TestCoref:
     def test_sidecar_attaches(self, data_dir):
         pairs = load_procedures(data_dir / "corpus_small.json")
@@ -301,7 +315,8 @@ class TestCoref:
         side.write_text(
             json.dumps({"procedure_id": "p2", "mentions": [{"entity": "magma", "step": 2, "span": [0, 99]}]})
         )
-        with pytest.raises(SchemaError, match="exceeds"):
+        with pytest.raises(SchemaError,
+                           match=r"step 2: coref mention 'magma' span \(0, 99\) outside"):
             load_coref(side, [p for p, _ in pairs])
 
 

@@ -8,6 +8,8 @@ exit leaves no output file; an exit 0 gives the same bytes when the command
 is run again, and predict gives the same exit, stderr and bytes with
 ``--jobs 2``.  The same check runs on the action file with each field swap
 in its step column, which the derandomized examples do not all reach.
+After an out-of-range mutation of a logical-form parse file, every command
+that reads it gives the same exit and stderr.
 
 Mutations: a value swapped for one of another type, a deletion, a
 duplication, a ``null``, a span or index out of range, the file replaced by
@@ -166,15 +168,18 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _check_contract(work: Path, propara: bool) -> None:
+def _check_contract(work: Path, propara: bool) -> dict[str, tuple[int, str]]:
     """Run every command on the inputs in ``work``.  Each exits 0, 2, 3 or 4
     with no traceback: exit 0 prints nothing to stderr, and any other exit
     prints an ``error:`` line and leaves no output file.  An exit 0 gives
     the same bytes when the command is run again, and predict gives the
-    same exit, stderr and output with ``--jobs 2``."""
+    same exit, stderr and output with ``--jobs 2``.  Returns each
+    command's exit and stderr by the name of its output file."""
+    results = {}
     for out_name, argv in _commands(work, propara).items():
         out = work / out_name
         code, err = _run([*argv, "--output", str(out)])
+        results[out_name] = code, err
         assert code in (0, 2, 3, 4), (argv, code, err)
         assert "Traceback" not in err, err
         if code == 0:
@@ -195,6 +200,7 @@ def _check_contract(work: Path, propara: bool) -> None:
                 out.unlink()
             else:
                 assert not out.exists(), (argv, extra)
+    return results
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
@@ -218,7 +224,12 @@ def test_every_command_keeps_its_contract_on_mutated_inputs(data):
         else:
             mutate = _mutate_json if name in JSON_INPUTS else _mutate_text
             target.write_text(mutate(data, target.read_text(), mutation))
-        _check_contract(work, name.startswith("propara/"))
+        results = _check_contract(work, name.startswith("propara/"))
+    if mutation == "out-of-range" and name.endswith(".trips.json"):
+        # One span rule: every command but build-graph --parser srl reads
+        # a logical-form file, and all of them report its fault alike.
+        readers = {results[out] for out in results if out != "srl.out"}
+        assert len(readers) == 1, (name, readers)
 
 
 @pytest.mark.parametrize("value", FIELD_SWAPS)
