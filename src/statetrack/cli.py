@@ -323,11 +323,14 @@ def cmd_evaluate(args) -> int:
             raise ConfigError("the decision tier needs --parses for mention and ambiguity checks")
         ontology = default_ontology(args.ontology)
         class_map = default_class_map(args.classes)
-        parses = {
-            proc.id: load_trips(_parse_file(args.parses, proc.id, "trips"))
-            for proc in procedures
-        }
-        categories = metrics.categorize_decisions(gold, procedures, parses, ontology, class_map)
+        # One procedure's parses at a time, in corpus order: memory holds one
+        # procedure's parses, and the first failing procedure gives the error.
+        categories = {}
+        for proc in procedures:
+            parses = {proc.id: load_trips(_parse_file(args.parses, proc.id, "trips"))}
+            categories.update(metrics.categorize_decisions(
+                {proc.id: gold[proc.id]}, [proc], parses, ontology, class_map
+            ))
         report.decision = metrics.eval_decision_level(pred, gold, categories)
     if args.format == "json":
         rendered = corpus_mod.render_json(report.to_dict()) + "\n"

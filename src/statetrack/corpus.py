@@ -8,6 +8,7 @@ starts.  Location values are plain strings with two reserved literals:
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from collections import namedtuple
@@ -24,9 +25,12 @@ _ARTICLES = ("the", "a", "an")
 _TOKEN_RE = re.compile(r"[A-Za-z0-9_'-]+|[^\sA-Za-z0-9_]")
 
 
+@functools.cache
 def normalize(text: str) -> str:
     """Normalize a location or phrase: lowercase, collapse whitespace, strip
-    leading articles.  The reserved literals "-" and "?" pass through."""
+    leading articles.  The reserved literals "-" and "?" pass through.
+    Memoized: grids and action files repeat a few location strings in
+    every cell."""
     if text in (NONEXISTENT, UNKNOWN):
         return text
     out = " ".join(text.lower().split())
@@ -123,6 +127,8 @@ class Action(str, Enum):
     DESTROY = "DESTROY"
     MOVE = "MOVE"
 
+
+_ACTION_NAMES = frozenset(Action.__members__)
 
 # Records are tuples with named fields, which cost a fraction of a
 # dataclass to define and to make; they compare, hash and pickle as tuples.
@@ -594,7 +600,7 @@ def grids_from_action_tsv(path) -> dict[str, StateGrid]:
     for lineno, (pid, step, entity, action, before, after) in read_tsv(
         path, "action file", ("id", "step", "entity", "action", "before", "after")
     ):
-        if action not in Action.__members__:
+        if action not in _ACTION_NAMES:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
         t = as_int(step, f"{path}:{lineno}")
         per_step = per_entity.setdefault(pid, {}).setdefault(entity, {})

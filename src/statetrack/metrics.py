@@ -12,13 +12,17 @@ entity and its location are mentioned in the step, then scored for action
 and location correctness per bucket.
 
 Every tier classifies a pair of adjacent cells with ``corpus.transition``
-and nothing else.  Cost: one pass per row per tier, so each tier is linear
-in the number of grid cells; the document tier finds conversions through a
-per-step index of created entities instead of comparing entity pairs, and
-the decision tier reads each step once into a table (every entity's
-mentions, found by ``find_all_mentions`` as ``build-graph`` finds them;
-the normalized tokens; the count of event verbs) and buckets each gold
-decision from that table.
+and nothing else, and calls it only where the two cells differ: equal
+cells are no event.  Cost: one pass per row per tier, so each tier is
+linear in the number of grid cells; the document tier finds conversions
+through a per-step index of created entities instead of comparing entity
+pairs.  The decision tier counts the event verbs of every step's parse
+(so an ontology cycle at any step is an error), files each gold row's
+events by step, and reads a step's text only where a gold event is: the
+mentions of the entities with an event there, found by
+``find_all_mentions`` as ``build-graph`` finds them, and the normalized
+tokens, where a location's words are compared only where its first word
+occurs.  No tier keeps a cache for another.
 """
 
 from __future__ import annotations
@@ -54,21 +58,27 @@ CATEGORY_NAMES = (
 
 
 def _row_events(row: list[str]) -> dict[Action, list[int]]:
-    """Steps at which the row shows each action happening, in one pass."""
-    events: dict[Action, list[int]] = {action: [] for action in Action}
+    """Steps at which the row shows each event (create, destroy, move)
+    happening, in one pass.  Two equal adjacent cells are no event, so
+    ``transition`` is called only where the cell changes."""
+    events: dict[Action, list[int]] = {action: [] for action in _EVENT_ACTION.values()}
     for t, (before, after) in enumerate(zip(row, row[1:]), start=1):
-        events[transition(before, after)].append(t)
+        if before != after:
+            events[transition(before, after)].append(t)
     return events
 
 
 def _validate_alignment(pred: dict[str, StateGrid], gold: dict[str, StateGrid]) -> None:
-    if set(pred) != set(gold):
+    # A gold procedure with no entities has no rows to predict, so an action
+    # file holds none of it; it needs no prediction procedure.
+    needed = {pid for pid, grid in gold.items() if grid.rows}
+    if not needed <= set(pred) <= set(gold):
         only_pred = sorted(set(pred) - set(gold))
-        only_gold = sorted(set(gold) - set(pred))
+        only_gold = sorted(needed - set(pred))
         raise SchemaError(
             f"procedure sets differ: only in predictions {only_pred}, only in gold {only_gold}"
         )
-    for pid in sorted(gold):
+    for pid in sorted(pred):
         p_ents, g_ents = set(pred[pid].rows), set(gold[pid].rows)
         if p_ents != g_ents:
             raise SchemaError(
@@ -234,28 +244,27 @@ def categorize_decisions(
     out: dict[tuple[str, str, int], DecisionCategory] = {}
     for pid in sorted(gold):
         proc = by_id[pid]
+        rows = gold[pid].rows
         by_index = parses_by_step(proc, parses.get(pid) or [])
-        names = [e.canonical_name for e in proc.entities]
-        # Each step is read once: its mention spans keyed by entity, its
-        # normalized tokens, its event verbs.  Steps without a gold event
-        # are read too, so an ontology cycle in any parse is an error.
-        steps = {
-            step.index: (
-                dict(zip(names, find_all_mentions(proc.entities, step))),
-                [normalize(token) for token in step.tokens],
-                sum(1 for _ in frame_nodes(by_index[step.index], ontology, class_map)),
-            )
-            for step in proc.steps
-        }
-        for ent_name in sorted(gold[pid].rows):
-            row = gold[pid].rows[ent_name]
-            for t in range(1, len(row)):
-                tag = transition(row[t - 1], row[t])
-                if tag is Action.NONE:
-                    continue
-                mentions, tokens, verbs = steps[t]
-                entity_mentioned = bool(mentions[ent_name])
-                location = NONEXISTENT if tag is Action.DESTROY else row[t]
+        # Every step's parse is read, so an ontology cycle in any parse is an
+        # error, whether or not a gold event falls at its step.
+        verbs = {t: sum(1 for _ in frame_nodes(parse, ontology, class_map))
+                 for t, parse in by_index.items()}
+        events: dict[int, list[tuple[str, Action]]] = {}  # step -> (entity, gold action)
+        for ent_name, row in rows.items():
+            for tag, steps in _row_events(row).items():
+                for t in steps:
+                    events.setdefault(t, []).append((ent_name, tag))
+        entities = {e.canonical_name: e for e in proc.entities}
+        for t, at_step in events.items():
+            step = proc.step(t)
+            # Each entity's mentions are found on its own, so only the
+            # entities with an event at this step are looked up.
+            mentions = find_all_mentions([entities[ent] for ent, _ in at_step], step)
+            tokens = [normalize(token) for token in step.tokens]
+            for (ent_name, tag), spans in zip(at_step, mentions):
+                entity_mentioned = bool(spans)
+                location = NONEXISTENT if tag is Action.DESTROY else rows[ent_name][t]
                 location_mentioned = _location_mentioned(location, tokens)
                 if tag in (Action.MOVE, Action.CREATE):
                     if entity_mentioned and location_mentioned:
@@ -268,17 +277,20 @@ def categorize_decisions(
                         name = "global_loc_and_ent"
                 else:
                     name = "global_ent" if not entity_mentioned else "uncategorized"
-                ambiguous = entity_mentioned and verbs >= 2
+                ambiguous = entity_mentioned and verbs[t] >= 2
                 out[(pid, ent_name, t)] = DecisionCategory(name=name, ambiguous=ambiguous)
     return out
 
 
 def _location_mentioned(location: str, tokens: list[str]) -> bool:
+    """Whether the location's words appear in order among the step's
+    normalized ``tokens``, compared only where its first word occurs."""
     if location in (NONEXISTENT, UNKNOWN):
         return False
     loc_tokens = location.split(" ")
     n = len(loc_tokens)
-    return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
+    return any(token == loc_tokens[0] and tokens[i : i + n] == loc_tokens
+               for i, token in enumerate(tokens))
 
 
 class CategoryScore(namedtuple(

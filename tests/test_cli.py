@@ -381,6 +381,28 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("tier", ["all", "sentence"])
+    def test_procedure_with_no_entities_needs_no_predictions(self, data_dir, tmp_path, tier):
+        # predict writes no rows for a procedure with no entities, and the
+        # report is that of the corpus without it.
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        procedures = json.loads(corpus.read_text())
+        empty = dict(procedures[0], id="empty-1", entities=[], gold_grid={})
+        corpus.write_text(json.dumps([*procedures, empty]))
+        (parses / "empty-1.trips.json").write_bytes(
+            (parses / f"{procedures[0]['id']}.trips.json").read_bytes())
+        pred = tmp_path / "pred.tsv"
+        assert main(["predict", "--corpus", str(corpus), "--parses", str(parses),
+                     "--output", str(pred)]) == 0
+        assert pred.read_bytes() == (data_dir / "golden" / "predictions.tsv").read_bytes()
+        reports = []
+        for gold in (corpus, data_dir / "corpus_predict.json"):
+            out = tmp_path / f"report{len(reports)}.json"
+            assert main(["evaluate", "--pred", str(pred), "--corpus", str(gold),
+                         "--parses", str(parses), "--tier", tier, "--output", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_decision_tier_requires_parses(self, data_dir, tmp_path):
         pred = tmp_path / "pred.tsv"
         assert main(_predict_args(data_dir, pred)) == 0
@@ -719,6 +741,37 @@ def test_jobs_report_the_first_failing_procedure(data_dir, tmp_path, capsys, fir
     assert results[0][0] == {"missing": 3, "malformed": 4}[first]
     assert ids[3] in results[0][1]
     assert results[1] == results[2] == results[0]
+
+
+@pytest.mark.parametrize("missing", ["book-1", "erosion-1"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["corpus-order", "reversed"])
+def test_evaluate_reports_the_first_failing_procedure_in_corpus_order(
+    data_dir, tmp_path, capsys, missing, reverse
+):
+    """One procedure's parse file is missing (exit 3) and the other's has a
+    node span outside its sentence (exit 4): the decision tier reads one
+    procedure's parses at a time, in corpus order, so it reports the first
+    of the two in corpus order, with predict's exit code and message."""
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    procedures = json.loads(corpus.read_text())[:: -1 if reverse else 1]
+    corpus.write_text(json.dumps(procedures))
+    ids = [proc["id"] for proc in procedures]
+    (parses / f"{missing}.trips.json").unlink()
+    path = parses / f"{next(pid for pid in ids if pid != missing)}.trips.json"
+    sentences = json.loads(path.read_text())
+    sentences[0]["nodes"][0]["span"] = [0, 99]
+    path.write_text(json.dumps(sentences))
+    out = tmp_path / "out"
+    results = []
+    for command in (["predict"],
+                    ["evaluate", "--pred", str(data_dir / "golden" / "predictions.tsv")]):
+        code = main([*command, "--corpus", str(corpus), "--parses", str(parses),
+                     "--output", str(out)])
+        results.append((code, capsys.readouterr().err))
+        assert not out.exists(), command
+    assert results[0][0] == (3 if ids[0] == missing else 4)
+    assert ids[0] in results[0][1]
+    assert results[1] == results[0]
 
 
 @pytest.mark.parametrize("jobs", ["2", "3"])

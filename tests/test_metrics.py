@@ -91,6 +91,15 @@ class TestSentenceLevel:
         with pytest.raises(SchemaError, match="lost"):
             eval_sentence_level(pred, gold)
 
+    def test_procedure_with_no_entities_needs_no_predictions(self):
+        gold = _grids({"p": {"e": ["-", "x"]}, "empty": {}})
+        pred = _grids({"p": {"e": ["-", "x"]}})
+        assert eval_sentence_level(pred, gold) == eval_sentence_level(pred, {"p": gold["p"]})
+        # Predictions that do name it must still match its (empty) entity set.
+        pred["empty"] = StateGrid("empty", {"e": ["-", "x"]})
+        with pytest.raises(SchemaError, match=r"procedure empty: entity sets differ"):
+            eval_sentence_level(pred, gold)
+
 
 class TestDocumentLevel:
     def test_perfect_prediction(self, small_corpus):
@@ -469,7 +478,8 @@ _EXTRA_ALIASES = ["lake", "rock", "big", "big lake", "water vapor", "ice pond"]
 def _random_case(rng):
     """Random procedures with gold and predicted grids, and their parses.
     Entities may have extra aliases, one- or two-word, none shared within a
-    procedure, and coreference mentions."""
+    procedure, and coreference mentions.  A procedure may have no entities,
+    and then the predictions may leave it out, as an action file does."""
     procedures, gold, pred, parses = [], {}, {}, {}
     for p in range(rng.randint(1, 2)):
         pid = f"r{p}"
@@ -478,7 +488,7 @@ def _random_case(rng):
             Step(t, "", tuple(rng.choice(_WORDS) for _ in range(rng.randint(0, 7))))
             for t in range(1, m + 1)
         )
-        names = rng.sample(_NAMES, rng.randint(1, 5))
+        names = rng.sample(_NAMES, rng.randint(0, 5))
         extra = rng.sample(_EXTRA_ALIASES, len(_EXTRA_ALIASES))
         entities = []
         for name in names:
@@ -493,7 +503,8 @@ def _random_case(rng):
         entities = tuple(entities)
         procedures.append(Procedure(pid, steps, entities))
         gold[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
-        pred[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
+        if names or rng.random() < 0.5:
+            pred[pid] = StateGrid(pid, {n: [rng.choice(_CELLS) for _ in range(m + 1)] for n in names})
         parses[pid] = [
             LogicalFormGraph(
                 t,
@@ -523,6 +534,13 @@ def test_tiers_match_the_pre_transition_reference():
         seen.update(_mention_kinds(procedures, categories))
         seen["conversions"] += len(_ref_conversion_set(gold))
         seen["ambiguous"] += sum(c.ambiguous for c in categories.values())
+        seen["left_out"] += sum(pid not in pred for pid in gold)
+        # Decisions at a step where another entity has no event: there the
+        # decision tier looks up the mentions of only some of the entities.
+        seen["other_entity_quiet"] += sum(
+            any(row[t - 1] == row[t] for name, row in gold[pid].rows.items() if name != ent)
+            for pid, ent, t in categories
+        )
         seen.update(c.name for c in categories.values())
         for grid in gold.values():
             for row in grid.rows.values():
@@ -531,11 +549,14 @@ def test_tiers_match_the_pre_transition_reference():
                     row[t - 1] != row[t] and UNKNOWN in (row[t - 1], row[t])
                     for t in _ref_event_steps(row, "moved")
                 )
-    # The random cases reach every branch the rewrite touched, and decisions
-    # whose entity is mentioned only through an extra alias, only through a
-    # coreference span, or through a two-word span.
+    # The random cases reach every branch the rewrite touched, procedures
+    # with no entities that the predictions leave out, decisions at steps
+    # where another entity has no event, and decisions whose entity is
+    # mentioned only through an extra alias, only through a coreference
+    # span, or through a two-word span.
     for key in ("conversions", "recreated", "unknown_moves", "ambiguous", *CATEGORY_NAMES,
-                "extra_alias_only", "coref_only", "multiword"):
+                "left_out", "other_entity_quiet", "extra_alias_only", "coref_only",
+                "multiword"):
         assert seen[key] > 0, key
 
 
