@@ -442,6 +442,9 @@ def _parse_procedure_obj(obj, source: str) -> tuple[Procedure, StateGrid]:
         raw_steps = as_list(require_key(obj, "steps", "procedure"), "steps")
         raw_entities = as_list(require_key(obj, "entities", "procedure"), "entities")
         raw_grid = require_key(obj, "gold_grid", "procedure")
+        # An action file holds the id as one field of one line.
+        if type(raw_id) is str and ("\t" in raw_id or len(f"{raw_id}.".splitlines()) > 1):
+            raise SchemaError(f"procedure id {raw_id!r} holds a tab or line break")
         pid = as_id(raw_id, "procedure id")
         return _procedure_and_grid(pid, raw_steps, raw_entities, raw_grid)
     except SchemaError as exc:
@@ -479,8 +482,10 @@ def _procedure_and_grid(
             raw_name, extra = e, None
         ent = make_entity(as_str(raw_name, "entity name"))
         if extra:
-            aliases = ent.aliases + tuple(normalize(a) for a in as_str_list(extra, "entity aliases"))
-            ent = Entity(ent.canonical_name, tuple(dict.fromkeys(aliases)))
+            aliases = tuple(normalize(a) for a in as_str_list(extra, "entity aliases"))
+            if not all(aliases):
+                raise SchemaError(f"entity {ent.canonical_name!r}: alias empty after normalization")
+            ent = Entity(ent.canonical_name, tuple(dict.fromkeys(ent.aliases + aliases)))
         if ent.canonical_name in seen_names:
             raise SchemaError(f"duplicate entity {ent.canonical_name!r}")
         for alias in ent.aliases:

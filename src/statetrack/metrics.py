@@ -18,11 +18,12 @@ linear in the number of grid cells; the document tier finds conversions
 through a per-step index of created entities instead of comparing entity
 pairs.  The decision tier counts the event verbs of every step's parse
 (so an ontology cycle at any step is an error), files each gold row's
-events by step, and reads a step's text only where a gold event is: the
-mentions of the entities with an event there, found by
-``find_all_mentions`` as ``build-graph`` finds them, and the normalized
-tokens, where a location's words are compared only where its first word
-occurs.  No tier keeps a cache for another.
+events by step, and reads a step's text only where a gold event is, with
+one ``find_all_mentions`` call: the rule ``build-graph`` uses, which
+compares lower-cased tokens only where an alias's first word occurs.  It
+finds the mentions of the entities with an event there and of their
+locations, each location looked up as an entity whose one alias it is.
+No tier keeps a cache for another.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .corpus import (
     NONEXISTENT,
     UNKNOWN,
     Action,
+    Entity,
     Procedure,
     StateGrid,
     exists,
     find_all_mentions,
-    normalize,
     transition,
 )
 from .errors import SchemaError
@@ -257,15 +258,17 @@ def categorize_decisions(
                     events.setdefault(t, []).append((ent_name, tag))
         entities = {e.canonical_name: e for e in proc.entities}
         for t, at_step in events.items():
-            step = proc.step(t)
-            # Each entity's mentions are found on its own, so only the
-            # entities with an event at this step are looked up.
-            mentions = find_all_mentions([entities[ent] for ent, _ in at_step], step)
-            tokens = [normalize(token) for token in step.tokens]
-            for (ent_name, tag), spans in zip(at_step, mentions):
+            # Only the entities with an event at this step are looked up, and
+            # after them each one's new cell as a one-alias entity; "-" and
+            # "?" have no alias, so are never mentioned.
+            cells = [rows[ent][t] for ent, _ in at_step]
+            places = [Entity(c, () if c in (NONEXISTENT, UNKNOWN) else (c,)) for c in cells]
+            mentions = find_all_mentions(
+                [entities[ent] for ent, _ in at_step] + places, proc.step(t)
+            )
+            for (ent_name, tag), spans, loc_spans in zip(at_step, mentions, mentions[len(at_step):]):
                 entity_mentioned = bool(spans)
-                location = NONEXISTENT if tag is Action.DESTROY else rows[ent_name][t]
-                location_mentioned = _location_mentioned(location, tokens)
+                location_mentioned = bool(loc_spans)
                 if tag in (Action.MOVE, Action.CREATE):
                     if entity_mentioned and location_mentioned:
                         name = "local"
@@ -280,17 +283,6 @@ def categorize_decisions(
                 ambiguous = entity_mentioned and verbs[t] >= 2
                 out[(pid, ent_name, t)] = DecisionCategory(name=name, ambiguous=ambiguous)
     return out
-
-
-def _location_mentioned(location: str, tokens: list[str]) -> bool:
-    """Whether the location's words appear in order among the step's
-    normalized ``tokens``, compared only where its first word occurs."""
-    if location in (NONEXISTENT, UNKNOWN):
-        return False
-    loc_tokens = location.split(" ")
-    n = len(loc_tokens)
-    return any(token == loc_tokens[0] and tokens[i : i + n] == loc_tokens
-               for i, token in enumerate(tokens))
 
 
 class CategoryScore(namedtuple(
@@ -320,7 +312,7 @@ def eval_decision_level(
         name: {"a": 0, "a_ok": 0, "l": 0, "l_ok": 0, "b_ok": 0} for name in CATEGORY_NAMES
     }
     amb_total = amb_ok = 0
-    for (pid, ent, t), category in sorted(categories.items()):
+    for (pid, ent, t), category in categories.items():
         gold_row = gold[pid].rows[ent]
         pred_row = pred[pid].rows[ent]
         gold_action = transition(gold_row[t - 1], gold_row[t])

@@ -1072,6 +1072,24 @@ def test_repeated_procedure_id_is_exit_4(data_dir, tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pid", ["a\tb", "a\nb", "a\rb", "a\u2028b", "ab\x85"])
+def test_procedure_id_an_action_file_cannot_hold_is_exit_4(data_dir, tmp_path, capsys, pid):
+    # predict wrote such an id into its action file, which evaluate then
+    # rejected: a tab adds a column, and a line break splits the line.
+    corpus, parses = _copy_inputs(data_dir, tmp_path)
+    procedures = json.loads(corpus.read_text())
+    (parses / f"{procedures[0]['id']}.trips.json").rename(parses / f"{pid}.trips.json")
+    procedures[0]["id"] = pid
+    corpus.write_text(json.dumps(procedures))
+    out = tmp_path / "out.tsv"
+    code = main(["predict", "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"error: {corpus}: procedure id {pid!r} holds a tab or line break\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "build-graph"])
 def test_gold_rows_that_normalize_alike_are_exit_4(tmp_path, capsys, command):
     # Both rows key the one entity "water"; the last used to win silently.

@@ -107,6 +107,14 @@ class TestLoading:
         proc, _ = load_procedures(_write_corpus(tmp_path, obj))[0]
         assert [e.aliases for e in proc.entities] == [("water", "water"), ("rain",)]
 
+    @pytest.mark.parametrize("alias", ["", "  "])
+    def test_alias_empty_after_normalization_is_rejected(self, tmp_path, alias):
+        # An empty alias matched every argument whose node has no word.
+        obj = {**TWO_STEP, "entities": [{"name": "water", "aliases": ["Rain", alias]}]}
+        with pytest.raises(SchemaError, match=r"procedure t1: entity 'water':"
+                                              r" alias empty after normalization"):
+            load_procedures(_write_corpus(tmp_path, obj))
+
     def test_propara_tsv_non_integer_sentence_index(self, tmp_path):
         (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\tx\tAgain .\n")
         (tmp_path / "grids.tsv").write_text("7\t1\twater\tMOVE\tsky\tsoil\n")

@@ -366,9 +366,12 @@ def _ref_document(pred, gold):
 
 
 def _ref_location_mentioned(location, step):
+    """Whether the location's words occur in order among the step's
+    lower-cased tokens, by a scan of every start: the rule entities follow,
+    so a token holding whitespace ("the Pond") mentions no location."""
     if location in (NONEXISTENT, UNKNOWN):
         return False
-    tokens = [normalize(t) for t in step.tokens]
+    tokens = [t.lower() for t in step.tokens]
     loc_tokens = location.split(" ")
     n = len(loc_tokens)
     return any(tokens[i : i + n] == loc_tokens for i in range(0, len(tokens) - n + 1))
@@ -469,7 +472,8 @@ def _ref_decision(pred, gold, categories):
 
 
 _CELLS = ["-", "-", "?", "pond", "lake", "big rock"]
-_WORDS = ["The", "a", "ice", "water", "vapor", "pond", "Lake", "big", "rock", "."]
+_WORDS = ["The", "a", "ice", "water", "vapor", "pond", "Lake", "big", "rock", ".", "the Pond",
+          "?", "-"]
 _VERB_TYPES = ["MOVE", "FORM", "CONSUME", "COOLING", "SLEEP"]
 _NAMES = ["ice", "water", "vapor", "big rock", "pond"]
 _EXTRA_ALIASES = ["lake", "rock", "big", "big lake", "water vapor", "ice pond"]
@@ -526,6 +530,7 @@ def test_tiers_match_the_pre_transition_reference():
     seen = Counter()
     for _ in range(200):
         procedures, gold, pred, parses = _random_case(rng)
+        by_id = {p.id: p for p in procedures}
         assert eval_sentence_level(pred, gold) == _ref_sentence(pred, gold)
         assert eval_document_level(pred, gold) == _ref_document(pred, gold)
         categories = categorize_decisions(gold, procedures, parses, ontology, class_map)
@@ -542,6 +547,14 @@ def test_tiers_match_the_pre_transition_reference():
             for pid, ent, t in categories
         )
         seen.update(c.name for c in categories.values())
+        # Decisions whose location only a token holding whitespace names, by
+        # its normalized text: such a token mentions no location, as it
+        # mentions no entity.
+        for pid, ent, t in categories:
+            step, cell = by_id[pid].step(t), gold[pid].rows[ent][t]
+            seen["whitespace_token"] += (cell in {normalize(w) for w in step.tokens if " " in w}
+                                         and not _ref_location_mentioned(cell, step))
+            seen["reserved_token"] += cell in (NONEXISTENT, UNKNOWN) and cell in step.tokens
         for grid in gold.values():
             for row in grid.rows.values():
                 seen["recreated"] += len(_ref_event_steps(row, "created")) > 1
@@ -553,10 +566,12 @@ def test_tiers_match_the_pre_transition_reference():
     # with no entities that the predictions leave out, decisions at steps
     # where another entity has no event, and decisions whose entity is
     # mentioned only through an extra alias, only through a coreference
-    # span, or through a two-word span.
+    # span, or through a two-word span, decisions whose location only a
+    # token holding whitespace would name, and decisions whose cell, "-" or
+    # "?", is a token of their step.
     for key in ("conversions", "recreated", "unknown_moves", "ambiguous", *CATEGORY_NAMES,
                 "left_out", "other_entity_quiet", "extra_alias_only", "coref_only",
-                "multiword"):
+                "multiword", "whitespace_token", "reserved_token"):
         assert seen[key] > 0, key
 
 
