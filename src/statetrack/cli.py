@@ -303,6 +303,8 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.tier in ("decision", "all") and not args.parses:
+        raise ConfigError("the decision tier needs --parses for mention and ambiguity checks")
     from . import metrics
 
     procedures, gold = _load_corpus(args)
@@ -319,8 +321,6 @@ def cmd_evaluate(args) -> int:
     if args.tier in ("document", "all"):
         report.document = metrics.eval_document_level(pred, gold)
     if args.tier in ("decision", "all"):
-        if not args.parses:
-            raise ConfigError("the decision tier needs --parses for mention and ambiguity checks")
         ontology = default_ontology(args.ontology)
         class_map = default_class_map(args.classes)
         # One procedure's parses at a time, in corpus order: memory holds one

@@ -100,8 +100,10 @@ def as_id(value, where: str) -> str:
     raise SchemaError(f"{where}: expected a string or an integer, got {value!r}")
 
 
-def as_int(value, where: str) -> int:
-    """An integer, or a string of one; floats and booleans are rejected."""
+def as_int(value, *where) -> int:
+    """An integer, or a string of one; floats and booleans are rejected.
+    The parts of ``where`` name the value, joined by ":" only on failure, so
+    a reader passing ``path, lineno`` builds no label per line."""
     if type(value) is int:
         return value
     if type(value) is str:
@@ -109,7 +111,7 @@ def as_int(value, where: str) -> int:
             return int(value)
         except ValueError:
             pass
-    raise SchemaError(f"{where}: expected an integer, got {value!r}")
+    raise SchemaError(f"{':'.join(map(str, where))}: expected an integer, got {value!r}")
 
 
 def as_span(value, where: str) -> tuple[int, int]:
@@ -503,7 +505,10 @@ def _procedure_and_grid(
         cells = raw_grid[raw_name]
         if len(as_str_list(cells, "gold_grid row")) != m + 1:
             raise SchemaError(f"entity {key!r}: expected {m + 1} cells, got {len(cells)}")
-        rows[key] = [normalize(c) for c in cells]
+        row = [normalize(c) for c in cells]
+        if not all(row):
+            raise SchemaError(f"entity {key!r}: cell {row.index('')} empty after normalization")
+        rows[key] = row
     for ent in entities:
         if ent.canonical_name not in rows:
             raise SchemaError(f"no grid row for entity {ent.canonical_name!r}")
@@ -521,7 +526,7 @@ def _load_propara_tsv(path: Path) -> list[tuple[Procedure, StateGrid]]:
     for lineno, (pid, idx, text) in read_tsv(
         para_file, "paragraph file", ("id", "sentence index", "sentence")
     ):
-        t = as_int(idx, f"{para_file}:{lineno}")
+        t = as_int(idx, para_file, lineno)
         sent_map = sentences.setdefault(pid, {})
         if t in sent_map:
             raise SchemaError(f"{para_file}:{lineno}: duplicate sentence {t} of paragraph {pid}")
@@ -599,19 +604,27 @@ def grids_from_action_tsv(path) -> dict[str, StateGrid]:
     """Read an action TSV into one StateGrid per procedure.  This is the one
     place where action rows become a grid row: each (procedure, entity)
     has steps 1..m once each, and every before-location equals the prior
-    after-location.  Locations are normalized; entity names are kept as
-    written."""
+    after-location.  Locations are normalized, and none may be empty after
+    that; each row's action must be the ``transition`` of its two
+    locations.  Entity names are kept as written."""
     per_entity: dict[str, dict[str, dict[int, tuple[str, str]]]] = {}
     for lineno, (pid, step, entity, action, before, after) in read_tsv(
         path, "action file", ("id", "step", "entity", "action", "before", "after")
     ):
         if action not in _ACTION_NAMES:
             raise SchemaError(f"{path}:{lineno}: unknown action {action!r}")
-        t = as_int(step, f"{path}:{lineno}")
+        t = as_int(step, path, lineno)
         per_step = per_entity.setdefault(pid, {}).setdefault(entity, {})
         if t in per_step:
             raise SchemaError(f"{path}:{lineno}: duplicate row for ({pid}, {entity}, step {t})")
-        per_step[t] = (normalize(before), normalize(after))
+        before, after = normalize(before), normalize(after)
+        if not (before and after):
+            raise SchemaError(f"{path}:{lineno}: location empty after normalization")
+        # Most rows are NONE between equal locations, which need no transition.
+        if (action != "NONE" or before != after) and transition(before, after) != action:
+            raise SchemaError(f"{path}:{lineno}: action {action}, but {before!r} to {after!r}"
+                              f" is {transition(before, after).value}")
+        per_step[t] = (before, after)
     grids = {}
     for pid, entities in per_entity.items():
         rows = {}

@@ -6,13 +6,17 @@ from pathlib import Path
 
 import pytest
 
+import statetrack
+from genutil import write_paragraphs_tsv
 from statetrack.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+# The directory the package under test was imported from: this checkout's
+# src/, or site-packages when the tests run against an installed copy.
+SRC = Path(statetrack.__file__).resolve().parents[1]
 
 
 def _env() -> dict:
-    """The environment with this checkout's package first on the path."""
+    """The environment with the package under test first on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return env
@@ -45,42 +49,75 @@ def _predict_args(data_dir, out, extra=()):
     ]
 
 
-# Every command but gat-check on the fixtures, as the golden-file tests run
-# it: a name -> (data directory, output path) -> argv.
-_FIXTURE_COMMANDS = {
-    "predict": _predict_args,
-    "abstract": lambda d, out: [
-        "abstract", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
-        "--output", out,
-    ],
-    "evaluate": lambda d, out: [
+def _evaluate_args(d, out, extra=()):
+    return [
         "evaluate", "--pred", d / "pred_seeded.tsv", "--corpus", d / "corpus_small.json",
         "--coref", d / "coref_small.json", "--parses", d / "parses", "--tier", "all",
+        "--output", out, *extra,
+    ]
+
+
+# The one table of golden files: every command but gat-check on the
+# fixtures, as a name -> (its golden file under data/golden, (data
+# directory, output path) -> argv).  predictions.tsv is written twice, by
+# one process and by two.
+_FIXTURE_COMMANDS = {
+    "predict": ("predictions.tsv", _predict_args),
+    "predict --jobs 2": ("predictions.tsv", lambda d, out: _predict_args(d, out, ["--jobs", "2"])),
+    "predict --format json": (
+        "predictions.json", lambda d, out: _predict_args(d, out, ["--format", "json"])),
+    "abstract": ("abstract.json", lambda d, out: [
+        "abstract", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
         "--output", out,
-    ],
-    "build-graph": lambda d, out: [
+    ]),
+    "evaluate": ("report_seeded.json", _evaluate_args),
+    "evaluate --format table": (
+        "report_seeded.txt", lambda d, out: _evaluate_args(d, out, ["--format", "table"])),
+    "build-graph": ("graphs_trips.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
         "--parses", d / "parses", "--output", out,
-    ],
-    "build-graph --qa-entity": lambda d, out: [
+    ]),
+    "build-graph --qa-entity": ("graphs_qa.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
         "--parses", d / "parses", "--output", out,
         "--qa-entity", "water", "--qa-entity", "magma", "--qa-entity", "rock",
-    ],
-    "build-graph --parser srl": lambda d, out: [
+    ]),
+    "build-graph --parser srl": ("graphs_srl.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
         "--parser", "srl", "--output", out,
-    ],
+    ]),
 }
 
 
-class TestPredict:
-    def test_matches_golden_file(self, data_dir, tmp_path):
-        out = tmp_path / "pred.tsv"
-        assert main(_predict_args(data_dir, out)) == 0
-        golden = (data_dir / "golden" / "predictions.tsv").read_bytes()
-        assert out.read_bytes() == golden
+def _fixture(name, data_dir, out):
+    """A table row's argv, writing to ``out``, and its golden bytes."""
+    golden, argv = _FIXTURE_COMMANDS[name]
+    return [str(a) for a in argv(data_dir, out)], (data_dir / "golden" / golden).read_bytes()
 
+
+@pytest.mark.parametrize("name", sorted(_FIXTURE_COMMANDS))
+def test_golden_file(data_dir, tmp_path, name):
+    argv, golden = _fixture(name, data_dir, tmp_path / "out")
+    assert main(argv) == 0
+    assert (tmp_path / "out").read_bytes() == golden
+
+
+# The string hash seed, fixed when an interpreter starts, orders sets of
+# strings; it must not change a byte.  -W error fails a run on any warning,
+# such as the one Python 3.12+ gives when --jobs forks a process with threads.
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name", sorted(_FIXTURE_COMMANDS))
+def test_golden_file_under_hash_seed(data_dir, tmp_path, name, seed):
+    argv, golden = _fixture(name, data_dir, tmp_path / "out")
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "statetrack.cli", *argv],
+        env={**_env(), "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out").read_bytes() == golden
+
+
+class TestPredict:
     def test_jobs_flag_keeps_order(self, data_dir, tmp_path):
         serial = tmp_path / "serial.tsv"
         parallel = tmp_path / "parallel.tsv"
@@ -183,9 +220,27 @@ class TestPredict:
     def test_jobs_without_fork_run_in_process(self, data_dir, tmp_path, monkeypatch):
         # Windows has no os.fork: --jobs N then gives the same bytes in process.
         monkeypatch.delattr(os, "fork")
-        out = tmp_path / "pred.tsv"
-        assert main(_predict_args(data_dir, out, ["--jobs", "2"])) == 0
-        assert out.read_bytes() == (data_dir / "golden" / "predictions.tsv").read_bytes()
+        argv, golden = _fixture("predict --jobs 2", data_dir, tmp_path / "pred.tsv")
+        assert main(argv) == 0
+        assert (tmp_path / "pred.tsv").read_bytes() == golden
+
+    @pytest.mark.parametrize("by", ["flag", "environment"])
+    def test_config_files_named_by_flag_or_environment(self, data_dir, tmp_path, monkeypatch,
+                                                       by):
+        # Copies of the shipped configuration files, named by --ontology,
+        # --classes and --roles or by STATETRACK_CONFIG_DIR, read as the
+        # defaults do.
+        names = {"--ontology": "ontology.tsv", "--classes": "action_classes.tsv",
+                 "--roles": "role_synonyms.tsv"}
+        for name in names.values():
+            (tmp_path / name).write_bytes((SRC / "statetrack" / "data" / name).read_bytes())
+        argv, golden = _fixture("predict", data_dir, tmp_path / "pred.tsv")
+        if by == "flag":
+            argv += [a for flag, name in names.items() for a in (flag, str(tmp_path / name))]
+        else:
+            monkeypatch.setenv("STATETRACK_CONFIG_DIR", str(tmp_path))
+        assert main(argv) == 0
+        assert (tmp_path / "pred.tsv").read_bytes() == golden
 
     def test_empty_corpus_writes_an_empty_file(self, data_dir, tmp_path):
         corpus = tmp_path / "empty.json"
@@ -197,11 +252,6 @@ class TestPredict:
         assert out.read_bytes() == b""
         assert main(["evaluate", "--pred", str(out), "--corpus", str(corpus),
                      "--tier", "sentence", "--output", str(tmp_path / "report.json")]) == 0
-
-    def test_json_format(self, data_dir, tmp_path):
-        out = tmp_path / "pred.json"
-        assert main(_predict_args(data_dir, out, ["--format", "json"])) == 0
-        assert out.read_bytes() == (data_dir / "golden" / "predictions.json").read_bytes()
 
     def test_srl_parser_rejected(self, data_dir, tmp_path, capsys):
         # predict and abstract read logical-form parses only, so neither
@@ -283,46 +333,25 @@ class TestEvaluate:
                 assert cat[key] in (None, 100.0)
 
     def test_seeded_fixture_with_coref(self, data_dir, tmp_path, hand_sheet):
-        report_path = tmp_path / "report.json"
-        code = main([
-            "evaluate",
-            "--pred", str(data_dir / "pred_seeded.tsv"),
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(data_dir / "coref_small.json"),
-            "--parses", str(data_dir / "parses"),
-            "--tier", "all",
-            "--output", str(report_path),
-        ])
-        assert code == 0
-        report = json.loads(report_path.read_text())
+        argv, _ = _fixture("evaluate", data_dir, tmp_path / "report.json")
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
         assert report["sentence"]["counts"] == hand_sheet["sentence"]["counts"]
         assert report["decision"]["ambiguous_support"] == 3
 
-    def test_seeded_fixture_matches_golden_report(self, data_dir, tmp_path):
-        report_path = tmp_path / "report.json"
-        code = main([
-            "evaluate",
-            "--pred", str(data_dir / "pred_seeded.tsv"),
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(data_dir / "coref_small.json"),
-            "--parses", str(data_dir / "parses"),
-            "--tier", "all",
-            "--output", str(report_path),
-        ])
-        assert code == 0
-        golden = (data_dir / "golden" / "report_seeded.json").read_bytes()
-        assert report_path.read_bytes() == golden
+    def test_decision_tier_alone_gives_the_golden_block(self, data_dir, tmp_path):
+        argv, golden = _fixture("evaluate", data_dir, tmp_path / "report.json")
+        argv[argv.index("--tier") + 1] = "decision"
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report == {"sentence": None, "document": None,
+                          "decision": json.loads(golden)["decision"]}
 
     def _evaluate_seeded(self, data_dir, pred, out):
-        return main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(data_dir / "coref_small.json"),
-            "--parses", str(data_dir / "parses"),
-            "--tier", "all",
-            "--output", str(out),
-        ])
+        """The seeded run on another prediction file, and the golden report."""
+        argv, golden = _fixture("evaluate", data_dir, out)
+        argv[argv.index("--pred") + 1] = str(pred)
+        return main(argv), golden
 
     def test_entity_spelled_in_another_case_scores_as_gold_spelling(self, data_dir, tmp_path):
         # Predictions are keyed by the entity's canonical name, as gold is.
@@ -331,8 +360,8 @@ class TestEvaluate:
         pred.write_text(seeded.replace("\twater\t", "\tWater\t"))
         assert "\tWater\t" in pred.read_text()
         report = tmp_path / "report.json"
-        assert self._evaluate_seeded(data_dir, pred, report) == 0
-        golden = (data_dir / "golden" / "report_seeded.json").read_bytes()
+        code, golden = self._evaluate_seeded(data_dir, pred, report)
+        assert code == 0
         assert report.read_bytes() == golden
 
     def test_two_spellings_of_one_entity_are_exit_4(self, data_dir, tmp_path, capsys):
@@ -341,7 +370,7 @@ class TestEvaluate:
         pred = tmp_path / "pred.tsv"
         pred.write_text(seeded + water.replace("\twater\t", "\tThe Water\t"))
         report = tmp_path / "report.json"
-        assert self._evaluate_seeded(data_dir, pred, report) == 4
+        assert self._evaluate_seeded(data_dir, pred, report)[0] == 4
         err = capsys.readouterr().err
         assert f"{pred}: procedure p1: entities 'water' and 'The Water'" in err
         assert not report.exists()
@@ -403,16 +432,61 @@ class TestEvaluate:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_decision_tier_requires_parses(self, data_dir, tmp_path):
-        pred = tmp_path / "pred.tsv"
-        assert main(_predict_args(data_dir, pred)) == 0
-        code = main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--tier", "decision",
-        ])
-        assert code == 2
+    def test_decision_tier_requires_parses(self, tmp_path, capsys):
+        # Checked before any file is read: neither file exists, and the
+        # usage error comes first, not exit 3.
+        for tier in ("decision", "all"):
+            code = main(["evaluate", "--pred", str(tmp_path / "pred.tsv"),
+                         "--corpus", str(tmp_path / "corpus.json"), "--tier", tier])
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "error: the decision tier needs --parses for mention and ambiguity checks\n"
+            )
+
+    @pytest.mark.parametrize("target", ["--pred", "grids.tsv"])
+    def test_action_that_its_locations_do_not_give_is_exit_4(self, data_dir, tmp_path, capsys,
+                                                              target):
+        # Line 1 of the seeded predictions moves water from soil to root.
+        lines = (data_dir / "pred_seeded.tsv").read_text().splitlines(keepends=True)
+        assert lines[0] == "p1\t1\twater\tMOVE\tsoil\troot\n"
+        lines[0] = lines[0].replace("MOVE", "CREATE")
+        argv, _ = _fixture("evaluate", data_dir, tmp_path / "report.json")
+        if target == "--pred":
+            path = tmp_path / "pred.tsv"
+            argv[argv.index("--pred") + 1] = str(path)
+        else:  # the same lines as the grids of a propara-tsv corpus
+            path = tmp_path / "propara" / "grids.tsv"
+            path.parent.mkdir()
+            procedures = json.loads((data_dir / "corpus_small.json").read_text())
+            write_paragraphs_tsv(path.parent / "paragraphs.tsv", procedures)
+            i = argv.index("--corpus")
+            argv[i:i + 2] = ["--corpus", str(path.parent), "--corpus-format", "propara-tsv",
+                             "--tier", "sentence"]
+        path.write_text("".join(lines))
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            f"error: {path}:1: action CREATE, but 'soil' to 'root' is MOVE\n"
+        )
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("target", ["--pred", "--corpus"])
+    def test_blank_location_is_exit_4(self, data_dir, tmp_path, capsys, target):
+        # Scored, a blank cell was a place named "".
+        argv, _ = _fixture("evaluate", data_dir, tmp_path / "report.json")
+        path = tmp_path / "input"
+        if target == "--pred":
+            path.write_text((data_dir / "pred_seeded.tsv").read_text().replace(
+                "p1\t1\twater\tMOVE\tsoil\t", "p1\t1\twater\tMOVE\t  \t", 1))
+            message = f"{path}:1: location empty after normalization"
+        else:
+            procedures = json.loads((data_dir / "corpus_small.json").read_text())
+            procedures[0]["gold_grid"]["water"][1] = "  "
+            path.write_text(json.dumps(procedures))
+            message = f"{path}: procedure p1: entity 'water': cell 1 empty after normalization"
+        argv[argv.index(target) + 1] = str(path)
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "report.json").exists()
 
     def test_roles_is_a_usage_error(self, data_dir, tmp_path, capsys):
         # No tier reads role synonyms, so evaluate takes no --roles file.
@@ -447,10 +521,10 @@ class TestEvaluate:
         )
 
     def test_table_format(self, data_dir, tmp_path, capsys):
-        # The seeded run, printing its table to stdout instead of --output.
-        argv = _FIXTURE_COMMANDS["evaluate"](data_dir, tmp_path / "report.json")
-        assert main([*map(str, argv[:-2]), "--format", "table"]) == 0
-        golden = (data_dir / "golden" / "report_seeded.txt").read_bytes()
+        # The table row without --output prints its golden table to stdout.
+        argv, golden = _fixture("evaluate --format table", data_dir, tmp_path / "report.txt")
+        i = argv.index("--output")
+        assert main(argv[:i] + argv[i + 2:]) == 0
         assert capsys.readouterr().out.encode() == golden
 
 
@@ -485,19 +559,12 @@ class TestOtherCommands:
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
     def test_abstract(self, data_dir, tmp_path):
-        out = tmp_path / "events.json"
-        code = main([
-            "abstract",
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--parses", str(data_dir / "parses"),
-            "--output", str(out),
-        ])
-        assert code == 0
-        events = json.loads(out.read_text())
+        argv, _ = _fixture("abstract", data_dir, tmp_path / "events.json")
+        assert main(argv) == 0
+        events = json.loads((tmp_path / "events.json").read_text())
         book_step = next(e for e in events if e["procedure"] == "book-1")
         assert book_step["frames"][0]["class"] == "MOVE"
         assert book_step["passive"] == [{"step": 1, "holder": "book", "location": "shelf"}]
-        assert out.read_bytes() == (data_dir / "golden" / "abstract.json").read_bytes()
 
     def test_build_graph_deterministic(self, data_dir, tmp_path):
         blobs = []
@@ -517,16 +584,9 @@ class TestOtherCommands:
         assert {g["procedure"] for g in graphs} == {"book-1", "erosion-1"}
 
     def test_build_graph_srl(self, data_dir, tmp_path):
-        out = tmp_path / "srl-graph.json"
-        code = main([
-            "build-graph",
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--parses", str(data_dir / "parses"),
-            "--parser", "srl",
-            "--output", str(out),
-        ])
-        assert code == 0
-        graphs = json.loads(out.read_text())
+        argv, _ = _fixture("build-graph --parser srl", data_dir, tmp_path / "srl-graph.json")
+        assert main(argv) == 0
+        graphs = json.loads((tmp_path / "srl-graph.json").read_text())
         book = next(g for g in graphs if g["procedure"] == "book-1")
         kinds = {n["text"]: n["kind"] for n in book["graph"]["nodes"]}
         assert kinds["Move"] == "predicate"
@@ -548,39 +608,6 @@ class TestOtherCommands:
         assert [g["entity"] for g in graphs] == ["book"]
         kinds = {n["kind"] for n in graphs[0]["graph"]["nodes"]}
         assert "question" in kinds and "step" in kinds
-
-    @pytest.mark.parametrize(
-        "name, extra",
-        [
-            ("graphs_trips.json", ["--parser", "trips"]),
-            ("graphs_qa.json", ["--qa-entity", "water", "--qa-entity", "magma",
-                                "--qa-entity", "rock"]),
-        ],
-    )
-    def test_build_graph_with_coref_matches_golden_file(self, data_dir, tmp_path, name, extra):
-        out = tmp_path / name
-        code = main([
-            "build-graph",
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(data_dir / "coref_small.json"),
-            "--parses", str(data_dir / "parses"),
-            "--output", str(out),
-            *extra,
-        ])
-        assert code == 0
-        assert out.read_bytes() == (data_dir / "golden" / name).read_bytes()
-
-    def test_build_graph_srl_matches_golden_file(self, data_dir, tmp_path):
-        out = tmp_path / "graphs_srl.json"
-        code = main([
-            "build-graph",
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--parses", str(data_dir / "parses"),
-            "--parser", "srl",
-            "--output", str(out),
-        ])
-        assert code == 0
-        assert out.read_bytes() == (data_dir / "golden" / "graphs_srl.json").read_bytes()
 
     def test_cli_import_does_not_load_numpy(self):
         assert not _loaded_by_cli_import("numpy")
@@ -613,25 +640,22 @@ class TestOtherCommands:
     # gat-check loads dataclasses, nor the inspect module it imports.
     @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
     def test_command_loads_no_dataclass_machinery(self, data_dir, tmp_path, command):
-        argv = _FIXTURE_COMMANDS[command](data_dir, tmp_path / "out")
+        argv, _ = _fixture(command, data_dir, tmp_path / "out")
         assert not _loaded_by_cli_import("dataclasses", "inspect", argv=argv)
 
     # No library module imports logging; its one notice is printed to stderr.
     @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
     def test_command_loads_no_logging(self, data_dir, tmp_path, command):
-        argv = _FIXTURE_COMMANDS[command](data_dir, tmp_path / "out")
+        argv, _ = _fixture(command, data_dir, tmp_path / "out")
         assert not _loaded_by_cli_import("logging", argv=argv)
 
     def test_build_graph_names_an_unlinked_qa_entity_on_stderr(self, data_dir, tmp_path):
-        # No node of the fixture corpus mentions "rock": the question node is
-        # left unconnected, and exactly this line says so.
-        result = subprocess.run(
-            [sys.executable, "-m", "statetrack.cli", "build-graph",
-             "--corpus", data_dir / "corpus_small.json", "--coref", data_dir / "coref_small.json",
-             "--parses", data_dir / "parses", "--qa-entity", "rock",
-             "--output", tmp_path / "graphs.json"],
-            env=_env(), capture_output=True, timeout=60,
-        )
+        # Of water, magma and rock, no node of the fixture corpus mentions
+        # rock: its question node is left unconnected, and exactly this line
+        # says so.
+        argv, _ = _fixture("build-graph --qa-entity", data_dir, tmp_path / "graphs.json")
+        result = subprocess.run([sys.executable, "-m", "statetrack.cli", *argv],
+                                env=_env(), capture_output=True, timeout=60)
         assert result.returncode == 0
         assert result.stderr == (
             b"entity 'rock' has no node in the graph; question node left unconnected\n"

@@ -115,6 +115,29 @@ class TestLoading:
                                               r" alias empty after normalization"):
             load_procedures(_write_corpus(tmp_path, obj))
 
+    @pytest.mark.parametrize("action, before, after, given", [
+        ("CREATE", "soil", "root", "MOVE"),
+        ("NONE", "sky", "soil", "MOVE"),
+        ("MOVE", "-", "soil", "CREATE"),
+        ("MOVE", "soil", "-", "DESTROY"),
+        ("MOVE", "The Soil", "soil", "NONE"),
+        ("DESTROY", "-", "-", "NONE"),
+    ])
+    def test_action_tsv_action_must_be_the_transition(self, tmp_path, action, before, after,
+                                                       given):
+        path = tmp_path / "pred.tsv"
+        path.write_text(f"7\t1\twater\t{action}\t{before}\t{after}\n")
+        with pytest.raises(SchemaError, match=(
+            rf"pred\.tsv:1: action {action}, but '{normalize(before)}' to"
+            rf" '{normalize(after)}' is {given}$"
+        )):
+            grids_from_action_tsv(path)
+
+    def test_action_tsv_action_is_read_from_normalized_locations(self, tmp_path):
+        path = tmp_path / "pred.tsv"
+        path.write_text("7\t1\twater\tNONE\tThe Soil\tsoil\n7\t2\twater\tMOVE\tsoil\t?\n")
+        assert grids_from_action_tsv(path) == {"7": StateGrid("7", {"water": ["soil", "soil", "?"]})}
+
     def test_propara_tsv_non_integer_sentence_index(self, tmp_path):
         (tmp_path / "paragraphs.tsv").write_text("7\t1\tWater falls .\n7\tx\tAgain .\n")
         (tmp_path / "grids.tsv").write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
