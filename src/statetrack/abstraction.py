@@ -26,18 +26,10 @@ LOCATION = "LOCATION"
 _LOCATION_CATEGORIES = (TO_LOC, FROM_LOC, LOCATION)
 
 
-class ArgRef(namedtuple("ArgRef", "text span node_id norm")):
-    """A role filler: its surface text, token span, and source node, plus
-    ``norm``, the text normalized once when the filler is made, because rule
-    matching reads it once per tracked entity."""
+class ArgRef(namedtuple("ArgRef", "text span node_id")):
+    """A role filler: its surface text, token span, and source node."""
 
     __slots__ = ()
-
-    def __new__(cls, text: str, span: tuple[int, int] | None, node_id: str):
-        return tuple.__new__(cls, (text, span, node_id, normalize(text)))
-
-    def __getnewargs__(self):
-        return self[:3]
 
 
 class EventFrame(namedtuple("EventFrame", "step_index predicate_word onto_type action_class "
@@ -133,7 +125,7 @@ def abstract_events(
                 continue
             holder = ArgRef(text=node.word, span=node.span, node_id=node.id)
             location = ArgRef(text=target.word, span=target.span, node_id=target.id)
-            if holder.norm == location.norm:
+            if normalize(holder.text) == normalize(location.text):
                 continue
             facts.append(
                 PassiveLocationFact(

@@ -7,7 +7,8 @@ with question nodes), evaluate (run the scoring tiers), and gat-check
 
 Exit codes: 0 success, 2 usage or configuration error, 3 missing or
 unreadable input file, or an output that cannot be written, 4 schema or
-validation error.
+validation error; each error type in ``errors`` carries its code.  Only
+this module writes to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ from pathlib import Path
 # Only the readers every command shares are imported here; each command
 # imports the modules that it alone uses, so it loads no other command's.
 from . import corpus as corpus_mod
-from .errors import ConfigError, InputFileError, SchemaError
+from .errors import ConfigError, SchemaError, StateTrackError
 from .parses import (
     default_class_map, default_ontology, default_role_synonyms, load_srl, load_trips,
     parses_by_step,
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_MISSING_FILE = 3
-EXIT_SCHEMA = 4
 
 
 def main(argv=None) -> int:
@@ -38,15 +36,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except StateTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InputFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+        return exc.exit_code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,6 +285,9 @@ def cmd_build_graph(args) -> int:
                 if entity is None:
                     continue
                 extended = semgraph.extend_qa_graph(graph, entity, proc)
+                if not any(e.type_label == semgraph.QUESTION_EDGE for e in extended.edges):
+                    print(f"entity {entity.canonical_name!r} has no node in the graph; "
+                          "question node left unconnected", file=sys.stderr)
                 records.append(
                     semgraph.render_graph_record(proc.id, entity.canonical_name, extended)
                 )

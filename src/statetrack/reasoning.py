@@ -28,6 +28,7 @@ from .corpus import (
     Procedure,
     StateGrid,
     StepAction,
+    normalize,
     transition,
 )
 from .parses import parses_by_step
@@ -114,7 +115,7 @@ def resolve_locations(actions: list[StepAction], timeline: EntityTimeline) -> li
     m = timeline.num_steps
     passive: dict[int, str] = {}
     for fact in timeline.passive:
-        passive.setdefault(fact.step_index, fact.location.norm)
+        passive.setdefault(fact.step_index, normalize(fact.location.text))
 
     kinds = [a.action for a in actions[:m]]
     origins = [

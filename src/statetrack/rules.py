@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .abstraction import ArgRef, EventFrame
-from .corpus import Action, Entity, Step, StepAction, spans_overlap
+from .corpus import Action, Entity, Step, StepAction, normalize, spans_overlap
 from .parses import ActionClass
 
 RULE_TABLE: dict[ActionClass, tuple[tuple[tuple[str, str, Action], ...], ...]] = {
@@ -57,7 +57,7 @@ def match_argument(arg: ArgRef, entity: Entity, step_index: int) -> bool:
     Matches the normalized phrase or its head noun (last token) against any
     alias, or the argument span against a coreference mention of the step.
     """
-    norm = arg.norm
+    norm = normalize(arg.text)
     head = norm.split(" ")[-1] if norm else ""
     if norm in entity.aliases or head in entity.aliases:
         return True
@@ -69,7 +69,7 @@ def match_argument(arg: ArgRef, entity: Entity, step_index: int) -> bool:
 
 
 def _loc(ref: ArgRef | None) -> str | None:
-    return (ref.norm or None) if ref is not None else None
+    return (normalize(ref.text) or None) if ref is not None else None
 
 
 def apply_rules(

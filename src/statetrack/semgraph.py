@@ -35,7 +35,6 @@ generated Python methods.
 
 from __future__ import annotations
 
-import sys
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -311,7 +310,8 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
 
     The question node connects to every node that mentions the entity; each
     step node connects to every node of its step.  Always adds exactly
-    (number of steps + 1) nodes.  The input graph is left unchanged, so one
+    (number of steps + 1) nodes; an entity that no node mentions gets a
+    question node with no edge.  The input graph is left unchanged, so one
     graph serves every queried entity.
     """
     nodes, edges = list(graph.nodes), list(graph.edges)
@@ -320,7 +320,6 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
         by_step.setdefault(node.step_index, []).append(node)
     question_id = "question"
     nodes.append(GNode(question_id, "question", None, None, f"where is {entity.canonical_name}"))
-    linked = 0
     for step in procedure.steps:
         spans = find_all_mentions((entity,), step)[0]
         for node in by_step.get(step.index, []):
@@ -331,10 +330,6 @@ def extend_qa_graph(graph: SemanticGraph, entity: Entity, procedure: Procedure) 
                 or normalize(node.text) in entity.aliases
             ):
                 edges.append(GEdge(question_id, node.id, QUESTION_EDGE))
-                linked += 1
-    if linked == 0:
-        print(f"entity {entity.canonical_name!r} has no node in the graph; "
-              "question node left unconnected", file=sys.stderr)
     for step in procedure.steps:
         step_id = f"step.{step.index}"
         nodes.append(GNode(step_id, "step", step.index, None, step.text))

@@ -253,52 +253,38 @@ class TestPredict:
         assert main(["evaluate", "--pred", str(out), "--corpus", str(corpus),
                      "--tier", "sentence", "--output", str(tmp_path / "report.json")]) == 0
 
-    def test_srl_parser_rejected(self, data_dir, tmp_path, capsys):
+    def test_srl_parser_rejected(self, data_dir, tmp_path, cli_fails):
         # predict and abstract read logical-form parses only, so neither
         # takes --parser; build-graph keeps it.
         for command in ("predict", "abstract"):
             argv = _predict_args(data_dir, tmp_path / "x.out", ["--parser", "srl"])
             argv[0] = command
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "unrecognized arguments: --parser srl" in capsys.readouterr().err
-            assert not (tmp_path / "x.out").exists()
+            assert "unrecognized arguments: --parser srl" in cli_fails(argv, 2)
 
-    def test_missing_corpus_is_exit_3(self, data_dir, tmp_path):
+    def test_missing_corpus_is_exit_3(self, data_dir, tmp_path, cli_fails):
         args = _predict_args(data_dir, tmp_path / "x.tsv")
         args[2] = str(tmp_path / "nowhere.json")
-        assert main(args) == 3
+        cli_fails(args, 3)
 
-    def test_malformed_corpus_is_exit_4(self, tmp_path, data_dir):
+    def test_malformed_corpus_is_exit_4(self, tmp_path, data_dir, cli_fails):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         args = _predict_args(data_dir, tmp_path / "x.tsv")
         args[2] = str(bad)
-        assert main(args) == 4
+        cli_fails(args, 4)
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_usage_error(self, data_dir, tmp_path, jobs, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(_predict_args(data_dir, tmp_path / "x.tsv", ["--jobs", jobs]))
-        assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
-        assert not (tmp_path / "x.tsv").exists()
+    def test_jobs_below_one_is_usage_error(self, data_dir, tmp_path, jobs, cli_fails):
+        argv = _predict_args(data_dir, tmp_path / "x.tsv", ["--jobs", jobs])
+        assert "--jobs" in cli_fails(argv, 2)
 
-    def test_duplicate_sentence_index_is_exit_4(self, data_dir, tmp_path, capsys):
-        parses = tmp_path / "parses"
-        parses.mkdir()
-        for src in (data_dir / "parses").iterdir():
-            (parses / src.name).write_bytes(src.read_bytes())
+    def test_duplicate_sentence_index_is_exit_4(self, data_dir, tmp_path, cli_fails):
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
         book = parses / "book-1.trips.json"
         graphs = json.loads(book.read_text())
-        if isinstance(graphs, dict):
-            graphs = [graphs]
         book.write_text(json.dumps(graphs + graphs[:1]))
-        args = _predict_args(data_dir, tmp_path / "x.tsv")
-        args[4] = str(parses)
-        assert main(args) == 4
-        assert "duplicate sentence_index" in capsys.readouterr().err
+        args = ["predict", "--corpus", corpus, "--parses", parses, "--output", tmp_path / "x.tsv"]
+        assert "duplicate sentence_index" in cli_fails(args, 4)
 
     def test_rules_off(self, data_dir, tmp_path):
         override = tmp_path / "off.txt"
@@ -348,10 +334,10 @@ class TestEvaluate:
                           "decision": json.loads(golden)["decision"]}
 
     def _evaluate_seeded(self, data_dir, pred, out):
-        """The seeded run on another prediction file, and the golden report."""
+        """The seeded run's argv on another prediction file, and the golden report."""
         argv, golden = _fixture("evaluate", data_dir, out)
         argv[argv.index("--pred") + 1] = str(pred)
-        return main(argv), golden
+        return argv, golden
 
     def test_entity_spelled_in_another_case_scores_as_gold_spelling(self, data_dir, tmp_path):
         # Predictions are keyed by the entity's canonical name, as gold is.
@@ -360,55 +346,38 @@ class TestEvaluate:
         pred.write_text(seeded.replace("\twater\t", "\tWater\t"))
         assert "\tWater\t" in pred.read_text()
         report = tmp_path / "report.json"
-        code, golden = self._evaluate_seeded(data_dir, pred, report)
-        assert code == 0
+        argv, golden = self._evaluate_seeded(data_dir, pred, report)
+        assert main(argv) == 0
         assert report.read_bytes() == golden
 
-    def test_two_spellings_of_one_entity_are_exit_4(self, data_dir, tmp_path, capsys):
+    def test_two_spellings_of_one_entity_are_exit_4(self, data_dir, tmp_path, cli_fails):
         seeded = (data_dir / "pred_seeded.tsv").read_text()
         water = "".join(line for line in seeded.splitlines(keepends=True) if "\twater\t" in line)
         pred = tmp_path / "pred.tsv"
         pred.write_text(seeded + water.replace("\twater\t", "\tThe Water\t"))
-        report = tmp_path / "report.json"
-        assert self._evaluate_seeded(data_dir, pred, report)[0] == 4
-        err = capsys.readouterr().err
-        assert f"{pred}: procedure p1: entities 'water' and 'The Water'" in err
-        assert not report.exists()
+        argv, _ = self._evaluate_seeded(data_dir, pred, tmp_path / "report.json")
+        assert f"{pred}: procedure p1: entities 'water' and 'The Water'" in cli_fails(argv, 4)
 
-    def test_non_integer_step_is_exit_4(self, data_dir, tmp_path, capsys):
+    def test_non_integer_step_is_exit_4(self, data_dir, tmp_path, cli_fails):
         lines = (data_dir / "pred_seeded.tsv").read_text().splitlines()
         cols = lines[1].split("\t")
         cols[1] = "x"
         lines[1] = "\t".join(cols)
         pred = tmp_path / "pred.tsv"
         pred.write_text("\n".join(lines) + "\n")
-        code = main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--tier", "sentence",
-        ])
-        assert code == 4
-        assert f"{pred}:2: expected an integer, got 'x'" in capsys.readouterr().err
+        argv = ["evaluate", "--pred", pred, "--corpus", data_dir / "corpus_small.json",
+                "--tier", "sentence"]
+        assert f"{pred}:2: expected an integer, got 'x'" in cli_fails(argv, 4)
 
-    def test_huge_step_is_exit_4(self, data_dir, tmp_path, capsys):
+    def test_huge_step_is_exit_4(self, data_dir, tmp_path, cli_fails):
         # Steps are checked by count and least value, so a row at step 3e18
         # asks for no list of 3e18 steps.
         pred = tmp_path / "pred.tsv"
         pred.write_text("p1\t3000000000000000000\twater\tNONE\troot\troot\n")
-        report = tmp_path / "report.json"
-        code = main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--tier", "sentence",
-            "--output", str(report),
-        ])
-        assert code == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {pred}: p1/water: expected 3000000000000000001 cells")
-        assert "Traceback" not in err
-        assert not report.exists()
+        argv = ["evaluate", "--pred", pred, "--corpus", data_dir / "corpus_small.json",
+                "--tier", "sentence", "--output", tmp_path / "report.json"]
+        message = cli_fails(argv, 4)
+        assert message.startswith(f"{pred}: p1/water: expected 3000000000000000001 cells")
 
     @pytest.mark.parametrize("tier", ["all", "sentence"])
     def test_procedure_with_no_entities_needs_no_predictions(self, data_dir, tmp_path, tier):
@@ -432,19 +401,17 @@ class TestEvaluate:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_decision_tier_requires_parses(self, tmp_path, capsys):
+    def test_decision_tier_requires_parses(self, tmp_path, cli_fails):
         # Checked before any file is read: neither file exists, and the
         # usage error comes first, not exit 3.
         for tier in ("decision", "all"):
-            code = main(["evaluate", "--pred", str(tmp_path / "pred.tsv"),
-                         "--corpus", str(tmp_path / "corpus.json"), "--tier", tier])
-            assert code == 2
-            assert capsys.readouterr().err == (
-                "error: the decision tier needs --parses for mention and ambiguity checks\n"
+            assert cli_fails(["evaluate", "--pred", tmp_path / "pred.tsv",
+                              "--corpus", tmp_path / "corpus.json", "--tier", tier], 2) == (
+                "the decision tier needs --parses for mention and ambiguity checks"
             )
 
     @pytest.mark.parametrize("target", ["--pred", "grids.tsv"])
-    def test_action_that_its_locations_do_not_give_is_exit_4(self, data_dir, tmp_path, capsys,
+    def test_action_that_its_locations_do_not_give_is_exit_4(self, data_dir, tmp_path, cli_fails,
                                                               target):
         # Line 1 of the seeded predictions moves water from soil to root.
         lines = (data_dir / "pred_seeded.tsv").read_text().splitlines(keepends=True)
@@ -463,14 +430,10 @@ class TestEvaluate:
             argv[i:i + 2] = ["--corpus", str(path.parent), "--corpus-format", "propara-tsv",
                              "--tier", "sentence"]
         path.write_text("".join(lines))
-        assert main(argv) == 4
-        assert capsys.readouterr().err == (
-            f"error: {path}:1: action CREATE, but 'soil' to 'root' is MOVE\n"
-        )
-        assert not (tmp_path / "report.json").exists()
+        assert cli_fails(argv, 4) == f"{path}:1: action CREATE, but 'soil' to 'root' is MOVE"
 
     @pytest.mark.parametrize("target", ["--pred", "--corpus"])
-    def test_blank_location_is_exit_4(self, data_dir, tmp_path, capsys, target):
+    def test_blank_location_is_exit_4(self, data_dir, tmp_path, cli_fails, target):
         # Scored, a blank cell was a place named "".
         argv, _ = _fixture("evaluate", data_dir, tmp_path / "report.json")
         path = tmp_path / "input"
@@ -484,23 +447,15 @@ class TestEvaluate:
             path.write_text(json.dumps(procedures))
             message = f"{path}: procedure p1: entity 'water': cell 1 empty after normalization"
         argv[argv.index(target) + 1] = str(path)
-        assert main(argv) == 4
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not (tmp_path / "report.json").exists()
+        assert cli_fails(argv, 4) == message
 
-    def test_roles_is_a_usage_error(self, data_dir, tmp_path, capsys):
+    def test_roles_is_a_usage_error(self, data_dir, tmp_path, cli_fails):
         # No tier reads role synonyms, so evaluate takes no --roles file.
-        with pytest.raises(SystemExit) as exc:
-            main([
-                "evaluate",
-                "--pred", str(data_dir / "pred_seeded.tsv"),
-                "--corpus", str(data_dir / "corpus_small.json"),
-                "--roles", str(tmp_path / "roles.tsv"),
-            ])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --roles" in capsys.readouterr().err
+        argv = ["evaluate", "--pred", data_dir / "pred_seeded.tsv",
+                "--corpus", data_dir / "corpus_small.json", "--roles", tmp_path / "roles.tsv"]
+        assert "unrecognized arguments: --roles" in cli_fails(argv, 2)
 
-    def test_duplicate_tsv_entity_is_exit_4(self, data_dir, tmp_path, capsys):
+    def test_duplicate_tsv_entity_is_exit_4(self, data_dir, tmp_path, cli_fails):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "paragraphs.tsv").write_text("7\t1\tWater falls .\n")
@@ -508,16 +463,10 @@ class TestEvaluate:
         (corpus / "grids.tsv").write_text(grid)
         pred = tmp_path / "pred.tsv"
         pred.write_text("7\t1\twater\tMOVE\tsky\tsoil\n")
-        code = main([
-            "evaluate",
-            "--pred", str(pred),
-            "--corpus", str(corpus),
-            "--corpus-format", "propara-tsv",
-            "--tier", "sentence",
-        ])
-        assert code == 4
+        argv = ["evaluate", "--pred", pred, "--corpus", corpus, "--corpus-format", "propara-tsv",
+                "--tier", "sentence"]
         assert f"{corpus / 'grids.tsv'}: paragraph 7: duplicate entity 'water'" in (
-            capsys.readouterr().err
+            cli_fails(argv, 4)
         )
 
     def test_table_format(self, data_dir, tmp_path, capsys):
@@ -549,14 +498,11 @@ class TestDeterminism:
 
 class TestOtherCommands:
     @pytest.mark.parametrize("command", ["abstract", "build-graph"])
-    def test_format_is_a_usage_error(self, data_dir, tmp_path, capsys, command):
+    def test_format_is_a_usage_error(self, data_dir, tmp_path, cli_fails, command):
         # Both write JSON only, so neither takes --format.
         argv = _predict_args(data_dir, tmp_path / "x.json", ["--format", "json"])
         argv[0] = command
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --format json" in capsys.readouterr().err
+        assert "unrecognized arguments: --format json" in cli_fails(argv, 2)
 
     def test_abstract(self, data_dir, tmp_path):
         argv, _ = _fixture("abstract", data_dir, tmp_path / "events.json")
@@ -746,31 +692,26 @@ _BREAK_PARSE = {
 
 
 @pytest.mark.parametrize("first, second", [("missing", "malformed"), ("malformed", "missing")])
-def test_jobs_report_the_first_failing_procedure(data_dir, tmp_path, capsys, first, second):
+def test_jobs_report_the_first_failing_procedure(data_dir, tmp_path, cli_fails, first, second):
     # Procedure 3 fails in the child's slice under --jobs 2 and 3, and
     # procedure 5, later in input order, fails another way: every --jobs
     # gives the error of procedure 3, as --jobs 1 does, and no output.
     corpus, parses, ids = _six_procedures(data_dir, tmp_path)
     _BREAK_PARSE[first](parses / f"{ids[3]}.trips.json")
     _BREAK_PARSE[second](parses / f"{ids[5]}.trips.json")
-    out = tmp_path / "pred.tsv"
-    results = []
-    for jobs in ("1", "2", "3"):
-        code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
-                     "--jobs", jobs, "--output", str(out)])
-        results.append((code, capsys.readouterr().err))
-        assert not out.exists()
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-    assert results[0][0] == {"missing": 3, "malformed": 4}[first]
-    assert ids[3] in results[0][1]
-    assert results[1] == results[2] == results[0]
+    messages = [
+        cli_fails(["predict", "--corpus", corpus, "--parses", parses, "--jobs", jobs,
+                   "--output", tmp_path / "pred.tsv"], {"missing": 3, "malformed": 4}[first])
+        for jobs in ("1", "2", "3")
+    ]
+    assert ids[3] in messages[0]
+    assert messages[1] == messages[2] == messages[0]
 
 
 @pytest.mark.parametrize("missing", ["book-1", "erosion-1"])
 @pytest.mark.parametrize("reverse", [False, True], ids=["corpus-order", "reversed"])
 def test_evaluate_reports_the_first_failing_procedure_in_corpus_order(
-    data_dir, tmp_path, capsys, missing, reverse
+    data_dir, tmp_path, cli_fails, missing, reverse
 ):
     """One procedure's parse file is missing (exit 3) and the other's has a
     node span outside its sentence (exit 4): the decision tier reads one
@@ -785,49 +726,36 @@ def test_evaluate_reports_the_first_failing_procedure_in_corpus_order(
     sentences = json.loads(path.read_text())
     sentences[0]["nodes"][0]["span"] = [0, 99]
     path.write_text(json.dumps(sentences))
-    out = tmp_path / "out"
-    results = []
-    for command in (["predict"],
-                    ["evaluate", "--pred", str(data_dir / "golden" / "predictions.tsv")]):
-        code = main([*command, "--corpus", str(corpus), "--parses", str(parses),
-                     "--output", str(out)])
-        results.append((code, capsys.readouterr().err))
-        assert not out.exists(), command
-    assert results[0][0] == (3 if ids[0] == missing else 4)
-    assert ids[0] in results[0][1]
-    assert results[1] == results[0]
+    messages = [
+        cli_fails([*command, "--corpus", corpus, "--parses", parses, "--output", tmp_path / "out"],
+                  3 if ids[0] == missing else 4)
+        for command in (["predict"],
+                        ["evaluate", "--pred", data_dir / "golden" / "predictions.tsv"])
+    ]
+    assert ids[0] in messages[0]
+    assert messages[1] == messages[0]
 
 
 @pytest.mark.parametrize("jobs", ["2", "3"])
-def test_failure_in_the_parents_slice_leaves_no_child(data_dir, tmp_path, capsys, jobs):
+def test_failure_in_the_parents_slice_leaves_no_child(data_dir, tmp_path, cli_fails, jobs):
     corpus, parses, ids = _six_procedures(data_dir, tmp_path)
     _BREAK_PARSE["malformed"](parses / f"{ids[0]}.trips.json")
-    out = tmp_path / "pred.tsv"
-    code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
-                 "--jobs", jobs, "--output", str(out)])
-    assert code == 4
-    assert ids[0] in capsys.readouterr().err
-    assert not out.exists()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    argv = ["predict", "--corpus", corpus, "--parses", parses, "--jobs", jobs,
+            "--output", tmp_path / "pred.tsv"]
+    assert ids[0] in cli_fails(argv, 4)
 
 
 @pytest.mark.parametrize("target", ["corpus", "coref", "trips"])
-def test_deeply_nested_json_is_exit_4(data_dir, tmp_path, capsys, target):
+def test_deeply_nested_json_is_exit_4(data_dir, tmp_path, cli_fails, target):
     # json.loads raises RecursionError, not ValueError, past its depth.
     corpus, parses = _copy_inputs(data_dir, tmp_path)
     coref = tmp_path / "coref.json"
     coref.write_text("[]")
     path = {"corpus": corpus, "coref": coref, "trips": parses / "book-1.trips.json"}[target]
     path.write_text("[" * 200_000 + "]" * 200_000)
-    out = tmp_path / "graphs.json"
-    code = main(["build-graph", "--corpus", str(corpus), "--coref", str(coref),
-                 "--parses", str(parses), "--output", str(out)])
-    assert code == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"{path}: invalid JSON: " in err, err
-    assert "Traceback" not in err
-    assert not out.exists()
+    argv = ["build-graph", "--corpus", corpus, "--coref", coref, "--parses", parses,
+            "--output", tmp_path / "graphs.json"]
+    assert f"{path}: invalid JSON: " in cli_fails(argv, 4)
 
 
 class TestBuildGraphSchemaErrors:
@@ -891,69 +819,46 @@ class TestBuildGraphSchemaErrors:
             "boolean-sentence-index", "srl-float-sentence-index", "srl-boolean-sentence-index",
         ],
     )
-    def test_malformed_input_is_exit_4(self, data_dir, tmp_path, capsys, parser, breaker):
+    def test_malformed_input_is_exit_4(self, data_dir, tmp_path, cli_fails, parser, breaker):
         corpus, parses = _copy_inputs(data_dir, tmp_path)
         broken = breaker(corpus, parses)
-        out = tmp_path / "graphs.json"
-        code = main([
-            "build-graph",
-            "--corpus", str(corpus),
-            "--parses", str(parses),
-            "--parser", parser,
-            "--output", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert str(broken) in err
-        assert not out.exists()
+        argv = ["build-graph", "--corpus", corpus, "--parses", parses, "--parser", parser,
+                "--output", tmp_path / "graphs.json"]
+        assert str(broken) in cli_fails(argv, 4)
 
-    def test_abstract_rejects_a_null_word(self, data_dir, tmp_path, capsys):
+    def test_abstract_rejects_a_null_word(self, data_dir, tmp_path, cli_fails):
         corpus, parses = _copy_inputs(data_dir, tmp_path)
         broken = _break_parse("erosion-1.trips.json",
                               lambda s: s["nodes"][0].update(word=None))(corpus, parses)
-        out = tmp_path / "frames.json"
-        code = main([
-            "abstract",
-            "--corpus", str(corpus),
-            "--parses", str(parses),
-            "--output", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert f"{broken}: sentence 3: node V1: word: expected a string, got None" in err
-        assert not out.exists()
+        argv = ["abstract", "--corpus", corpus, "--parses", parses,
+                "--output", tmp_path / "frames.json"]
+        assert f"{broken}: sentence 3: node V1: word: expected a string, got None" in (
+            cli_fails(argv, 4)
+        )
 
-    def test_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):
+    def test_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, cli_fails):
         """The loader accepts the span; building the last graph rejects it,
         after the first procedure's record has been rendered, and the error
         names the procedure."""
-        self._check_span_error(data_dir, tmp_path, capsys, "trips",
+        self._check_span_error(data_dir, tmp_path, cli_fails, "trips",
                                lambda s: s["nodes"][0].update(span=[0, 99]),
                                "node V1 span (0, 99)")
 
-    def test_srl_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, capsys):
-        self._check_span_error(data_dir, tmp_path, capsys, "srl",
+    def test_srl_error_in_last_procedure_leaves_no_output(self, data_dir, tmp_path, cli_fails):
+        self._check_span_error(data_dir, tmp_path, cli_fails, "srl",
                                lambda s: s["frames"][0]["predicate"].update(span=[50, 51]),
                                "predicate span (50, 51)")
 
     @staticmethod
-    def _check_span_error(data_dir, tmp_path, capsys, parser, edit, message):
+    def _check_span_error(data_dir, tmp_path, cli_fails, parser, edit, message):
         corpus, parses = _copy_inputs(data_dir, tmp_path)
         _break_parse(f"erosion-1.{parser}.json", edit)(corpus, parses)
         assert [p["id"] for p in json.loads(corpus.read_text())][-1] == "erosion-1"
-        out = tmp_path / "graphs.json"
-        code = main([
-            "build-graph",
-            "--corpus", str(corpus),
-            "--parses", str(parses),
-            "--parser", parser,
-            "--output", str(out),
-        ])
-        assert code == 4
-        assert capsys.readouterr().err == (
-            f"error: procedure erosion-1: step 3: {message} outside sentence of 8 tokens\n"
+        argv = ["build-graph", "--corpus", corpus, "--parses", parses, "--parser", parser,
+                "--output", tmp_path / "graphs.json"]
+        assert cli_fails(argv, 4) == (
+            f"procedure erosion-1: step 3: {message} outside sentence of 8 tokens"
         )
-        assert not out.exists()
 
 
 PROPARA_BOOK = (
@@ -1006,28 +911,20 @@ class TestUnreadableFiles:
     Each names the file, prints no traceback and leaves no output file."""
 
     @pytest.mark.parametrize("target", PROBED_INPUTS)
-    def test_directory_input_is_exit_3(self, data_dir, tmp_path, capsys, target):
+    def test_directory_input_is_exit_3(self, data_dir, tmp_path, cli_fails, target):
         path, argv = _probe(data_dir, tmp_path, target)
         path.unlink()
         path.mkdir()
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{path}: Is a directory" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert f"{path}: Is a directory" in cli_fails(argv, 3)
 
     @pytest.mark.parametrize("target", PROBED_INPUTS)
-    def test_non_utf8_input_is_exit_4(self, data_dir, tmp_path, capsys, target):
+    def test_non_utf8_input_is_exit_4(self, data_dir, tmp_path, cli_fails, target):
         path, argv = _probe(data_dir, tmp_path, target)
         path.write_bytes(b"caf\xe9\n" + path.read_bytes())
-        assert main(argv) == 4
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: not UTF-8: ")
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
+        assert cli_fails(argv, 4).startswith(f"{path}: not UTF-8: ")
 
     @pytest.mark.parametrize("command", ["predict", "abstract", "build-graph", "evaluate"])
-    def test_directory_output_is_exit_3(self, data_dir, tmp_path, capsys, command):
+    def test_directory_output_is_exit_3(self, data_dir, tmp_path, cli_fails, command):
         out = tmp_path / "out"
         out.mkdir()
         if command == "evaluate":
@@ -1036,23 +933,17 @@ class TestUnreadableFiles:
                     "--output", str(out)]
         else:
             argv = [command, *_predict_args(data_dir, out)[1:]]
-        assert main(argv) == 3
-        err = capsys.readouterr().err
-        assert err == f"error: cannot write {out}: Is a directory\n"
-        assert out.is_dir() and not any(out.iterdir())
+        assert cli_fails(argv, 3) == f"cannot write {out}: Is a directory"
+        assert not any(out.iterdir())
 
-    def test_unpaired_surrogate_in_an_output_is_exit_4(self, data_dir, tmp_path, capsys):
+    def test_unpaired_surrogate_in_an_output_is_exit_4(self, data_dir, tmp_path, cli_fails):
         """A JSON ``\\ud800`` escape decodes to text that UTF-8 cannot encode."""
         corpus, parses = _copy_inputs(data_dir, tmp_path)
         book = parses / "book-1.trips.json"
         book.write_text(book.read_text().replace('"word": "library"', '"word": "\\ud800"'))
         out = tmp_path / "pred.tsv"
-        code = main(["predict", "--corpus", str(corpus), "--parses", str(parses),
-                     "--output", str(out)])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert err.startswith(f"error: cannot write {out}: ") and "surrogates" in err
-        assert not out.exists()
+        message = cli_fails(["predict", "--corpus", corpus, "--parses", parses, "--output", out], 4)
+        assert message.startswith(f"cannot write {out}: ") and "surrogates" in message
 
 
 def test_files_are_utf8_whatever_the_locale(data_dir, tmp_path):
@@ -1085,19 +976,16 @@ def test_files_are_utf8_whatever_the_locale(data_dir, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["predict", "build-graph"])
-def test_repeated_procedure_id_is_exit_4(data_dir, tmp_path, capsys, command):
+def test_repeated_procedure_id_is_exit_4(data_dir, tmp_path, cli_fails, command):
     corpus, parses = _copy_inputs(data_dir, tmp_path)
     procedures = json.loads(corpus.read_text())
     corpus.write_text(json.dumps(procedures + procedures[:1]))
-    out = tmp_path / "out"
-    code = main([command, "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
-    assert code == 4
-    assert capsys.readouterr().err == f"error: {corpus}: duplicate procedure id 'book-1'\n"
-    assert not out.exists()
+    argv = [command, "--corpus", corpus, "--parses", parses, "--output", tmp_path / "out"]
+    assert cli_fails(argv, 4) == f"{corpus}: duplicate procedure id 'book-1'"
 
 
 @pytest.mark.parametrize("pid", ["a\tb", "a\nb", "a\rb", "a\u2028b", "ab\x85"])
-def test_procedure_id_an_action_file_cannot_hold_is_exit_4(data_dir, tmp_path, capsys, pid):
+def test_procedure_id_an_action_file_cannot_hold_is_exit_4(data_dir, tmp_path, cli_fails, pid):
     # predict wrote such an id into its action file, which evaluate then
     # rejected: a tab adds a column, and a line break splits the line.
     corpus, parses = _copy_inputs(data_dir, tmp_path)
@@ -1105,35 +993,25 @@ def test_procedure_id_an_action_file_cannot_hold_is_exit_4(data_dir, tmp_path, c
     (parses / f"{procedures[0]['id']}.trips.json").rename(parses / f"{pid}.trips.json")
     procedures[0]["id"] = pid
     corpus.write_text(json.dumps(procedures))
-    out = tmp_path / "out.tsv"
-    code = main(["predict", "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
-    assert code == 4
-    assert capsys.readouterr().err == (
-        f"error: {corpus}: procedure id {pid!r} holds a tab or line break\n"
-    )
-    assert not out.exists()
+    argv = ["predict", "--corpus", corpus, "--parses", parses, "--output", tmp_path / "out.tsv"]
+    assert cli_fails(argv, 4) == f"{corpus}: procedure id {pid!r} holds a tab or line break"
 
 
 @pytest.mark.parametrize("command", ["predict", "build-graph"])
-def test_gold_rows_that_normalize_alike_are_exit_4(tmp_path, capsys, command):
+def test_gold_rows_that_normalize_alike_are_exit_4(tmp_path, cli_fails, command):
     # Both rows key the one entity "water"; the last used to win silently.
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([{
         "id": "w1", "steps": [{"index": 1, "text": "Water rises."}], "entities": ["water"],
         "gold_grid": {"water": ["lake", "sky"], "The Water": ["soil", "-"]},
     }]))
-    out = tmp_path / "out"
-    code = main([command, "--corpus", str(corpus), "--parses", str(tmp_path),
-                 "--output", str(out)])
-    assert code == 4
-    assert capsys.readouterr().err == (
-        f"error: {corpus}: procedure w1: entities 'water' and 'The Water'"
-        " both normalize to 'water'\n"
+    argv = [command, "--corpus", corpus, "--parses", tmp_path, "--output", tmp_path / "out"]
+    assert cli_fails(argv, 4) == (
+        f"{corpus}: procedure w1: entities 'water' and 'The Water' both normalize to 'water'"
     )
-    assert not out.exists()
 
 
-def test_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
+def test_entities_that_share_an_alias_are_exit_4(tmp_path, cli_fails):
     # A mention of "water" used to count for both entities.
     corpus = tmp_path / "corpus.json"
     corpus.write_text(json.dumps([{
@@ -1141,17 +1019,13 @@ def test_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
         "entities": ["water", {"name": "vapor", "aliases": ["steam", "Water"]}],
         "gold_grid": {"water": ["lake", "sky"], "vapor": ["-", "sky"]},
     }]))
-    out = tmp_path / "out"
-    code = main(["predict", "--corpus", str(corpus), "--parses", str(tmp_path),
-                 "--output", str(out)])
-    assert code == 4
-    assert capsys.readouterr().err == (
-        f"error: {corpus}: procedure w1: entities 'water' and 'vapor' share the alias 'water'\n"
+    argv = ["predict", "--corpus", corpus, "--parses", tmp_path, "--output", tmp_path / "out"]
+    assert cli_fails(argv, 4) == (
+        f"{corpus}: procedure w1: entities 'water' and 'vapor' share the alias 'water'"
     )
-    assert not out.exists()
 
 
-def test_tsv_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
+def test_tsv_entities_that_share_an_alias_are_exit_4(tmp_path, cli_fails):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "paragraphs.tsv").write_text("7\t1\tRain falls .\n")
@@ -1160,56 +1034,37 @@ def test_tsv_entities_that_share_an_alias_are_exit_4(tmp_path, capsys):
     )
     pred = tmp_path / "pred.tsv"
     pred.write_text("7\t1\train\tMOVE\tsky\tsoil\n7\t1\tsea\tNONE\tbay\tbay\n")
-    code = main(["evaluate", "--pred", str(pred), "--corpus", str(corpus),
-                 "--corpus-format", "propara-tsv", "--tier", "sentence"])
-    assert code == 4
-    assert capsys.readouterr().err == (
-        f"error: {corpus / 'grids.tsv'}: paragraph 7:"
-        " entities 'rain' and 'sea' share the alias 'water'\n"
+    argv = ["evaluate", "--pred", pred, "--corpus", corpus, "--corpus-format", "propara-tsv",
+            "--tier", "sentence"]
+    assert cli_fails(argv, 4) == (
+        f"{corpus / 'grids.tsv'}: paragraph 7: entities 'rain' and 'sea' share the alias 'water'"
     )
 
 
 class TestCorefSidecar:
-    @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
-    def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, capsys, entity):
+    @staticmethod
+    def _run(data_dir, tmp_path, cli_fails, mention, command="predict"):
+        """The message of ``command`` on the small corpus with a sidecar of
+        one mention in procedure p2."""
         sidecar = tmp_path / "coref.json"
-        sidecar.write_text(json.dumps(
-            [{"procedure_id": "p2", "mentions": [{"entity": entity, "step": 2, "span": [0, 1]}]}]
-        ))
-        out = tmp_path / "pred.tsv"
-        code = main([
-            "predict",
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(sidecar),
-            "--parses", str(data_dir / "parses"),
-            "--output", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert f"{sidecar}: procedure p2: " in err and repr(entity) in err
-        assert not out.exists()
+        sidecar.write_text(json.dumps([{"procedure_id": "p2", "mentions": [mention]}]))
+        return cli_fails([command, "--corpus", data_dir / "corpus_small.json", "--coref", sidecar,
+                          "--parses", data_dir / "parses", "--output", tmp_path / "out"], 4)
+
+    @pytest.mark.parametrize("entity", [None, 5, "magmaa"])
+    def test_mention_of_no_entity_is_exit_4(self, data_dir, tmp_path, cli_fails, entity):
+        message = self._run(data_dir, tmp_path, cli_fails,
+                            {"entity": entity, "step": 2, "span": [0, 1]})
+        assert f"{tmp_path / 'coref.json'}: procedure p2: " in message
+        assert repr(entity) in message
 
     @pytest.mark.parametrize("command", ["predict", "build-graph"])
     def test_span_starting_before_the_sentence_is_exit_4(
-        self, data_dir, tmp_path, capsys, command
+        self, data_dir, tmp_path, cli_fails, command
     ):
-        sidecar = tmp_path / "coref.json"
-        sidecar.write_text(json.dumps(
-            [{"procedure_id": "p2", "mentions": [{"entity": "magma", "step": 2, "span": [-3, 1]}]}]
-        ))
-        out = tmp_path / "out"
-        code = main([
-            command,
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(sidecar),
-            "--parses", str(data_dir / "parses"),
-            "--output", str(out),
-        ])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert f"{sidecar}: procedure p2: " in err and "(-3, 1)" in err
-        assert not out.exists()
-
+        message = self._run(data_dir, tmp_path, cli_fails,
+                            {"entity": "magma", "step": 2, "span": [-3, 1]}, command)
+        assert f"{tmp_path / 'coref.json'}: procedure p2: " in message and "(-3, 1)" in message
 
     @pytest.mark.parametrize("step, span, message", [
         (9, [0, 1], "coref step 9 out of range"),
@@ -1218,57 +1073,35 @@ class TestCorefSidecar:
                      id="2-span-outside-sentence"),
     ])
     def test_mention_outside_its_sentence_names_the_procedure(
-        self, data_dir, tmp_path, capsys, step, span, message
+        self, data_dir, tmp_path, cli_fails, step, span, message
     ):
-        sidecar = tmp_path / "coref.json"
-        sidecar.write_text(json.dumps(
-            [{"procedure_id": "p2", "mentions": [{"entity": "magma", "step": step, "span": span}]}]
-        ))
-        out = tmp_path / "out"
-        code = main([
-            "predict",
-            "--corpus", str(data_dir / "corpus_small.json"),
-            "--coref", str(sidecar),
-            "--parses", str(data_dir / "parses"),
-            "--output", str(out),
-        ])
-        assert code == 4
-        assert capsys.readouterr().err == f"error: {sidecar}: procedure p2: {message}\n"
-        assert not out.exists()
+        assert self._run(data_dir, tmp_path, cli_fails,
+                         {"entity": "magma", "step": step, "span": span}) == (
+            f"{tmp_path / 'coref.json'}: procedure p2: {message}"
+        )
 
 
 class TestValuesThatSelectNothing:
     """A flag value that would make the command do nothing is a usage error
     (exit 2) naming the value, and no output file is written."""
 
-    def test_unknown_rule_in_rules_off(self, data_dir, tmp_path, capsys):
+    def test_unknown_rule_in_rules_off(self, data_dir, tmp_path, cli_fails):
         override = tmp_path / "off.txt"
         override.write_text("move_affected\nmove_afected\n")
-        out = tmp_path / "pred.tsv"
-        assert main(_predict_args(data_dir, out, ["--rules-off", str(override)])) == 2
-        assert "'move_afected'" in capsys.readouterr().err
-        assert not out.exists()
+        argv = _predict_args(data_dir, tmp_path / "pred.tsv", ["--rules-off", str(override)])
+        assert "'move_afected'" in cli_fails(argv, 2)
 
-    def test_qa_entity_that_no_procedure_has(self, data_dir, tmp_path, capsys):
-        out = tmp_path / "qa.json"
-        code = main([
-            "build-graph",
-            "--corpus", str(data_dir / "corpus_predict.json"),
-            "--parses", str(data_dir / "parses"),
-            "--qa-entity", "book",
-            "--qa-entity", "unicorn",
-            "--output", str(out),
-        ])
-        assert code == 2
-        assert "'unicorn'" in capsys.readouterr().err
-        assert not out.exists()
+    def test_qa_entity_that_no_procedure_has(self, data_dir, tmp_path, cli_fails):
+        argv = ["build-graph", "--corpus", data_dir / "corpus_predict.json",
+                "--parses", data_dir / "parses", "--qa-entity", "book", "--qa-entity", "unicorn",
+                "--output", tmp_path / "qa.json"]
+        assert "'unicorn'" in cli_fails(argv, 2)
 
     @pytest.mark.parametrize("rounds", ["0", "-5"])
-    def test_gat_check_rounds_below_one(self, capsys, rounds):
-        with pytest.raises(SystemExit) as exc:
-            main(["gat-check", "--rounds", rounds])
-        assert exc.value.code == 2
-        assert f"--rounds: must be at least 1, got {rounds}" in capsys.readouterr().err
+    def test_gat_check_rounds_below_one(self, cli_fails, rounds):
+        assert f"--rounds: must be at least 1, got {rounds}" in (
+            cli_fails(["gat-check", "--rounds", rounds], 2)
+        )
 
 
 def test_integer_node_ids_give_the_bytes_of_their_decimal_text(data_dir, tmp_path):
@@ -1329,19 +1162,16 @@ def _add_sentence_99(sentences):
     ],
     ids=["predict", "abstract", "build-graph", "build-graph-srl", "evaluate-decision"],
 )
-def test_parses_must_cover_exactly_the_steps(data_dir, tmp_path, capsys, kind, command, edit,
+def test_parses_must_cover_exactly_the_steps(data_dir, tmp_path, cli_fails, kind, command, edit,
                                              message):
     """Every parse consumer names a step without a parse, and a parsed
     sentence that is not a step, in one wording (exit 4, no output)."""
     corpus, parses = _copy_inputs(data_dir, tmp_path)
     path = parses / f"erosion-1.{kind}.json"
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
-    out = tmp_path / "out"
-    argv = [str(data_dir / "golden" / "predictions.tsv") if a == "PRED" else a for a in command]
-    code = main([*argv, "--corpus", str(corpus), "--parses", str(parses), "--output", str(out)])
-    assert code == 4
-    assert capsys.readouterr().err == f"error: procedure erosion-1: {message}\n"
-    assert not out.exists()
+    argv = [data_dir / "golden" / "predictions.tsv" if a == "PRED" else a for a in command]
+    argv += ["--corpus", corpus, "--parses", parses, "--output", tmp_path / "out"]
+    assert cli_fails(argv, 4) == f"procedure erosion-1: {message}"
 
 
 # Sentence 1 of erosion-1 has 9 tokens.  Each span lies outside it: past its
@@ -1383,7 +1213,7 @@ _SPAN_TARGETS = {
 @pytest.mark.parametrize("span", _BAD_SPANS, ids=lambda span: "{}-{}".format(*span))
 @pytest.mark.parametrize("target", list(_SPAN_TARGETS))
 def test_span_outside_its_sentence_is_one_error_for_every_command(
-    data_dir, tmp_path, capsys, target, span
+    data_dir, tmp_path, cli_fails, target, span
 ):
     """A parse span outside its sentence (a node's, on a node build-graph
     keeps or on one it drops for having no word, or a frame predicate's or
@@ -1404,12 +1234,7 @@ def test_span_outside_its_sentence_is_one_error_for_every_command(
         ]
     else:
         commands = [["build-graph", "--parser", "srl"]]
-    expected = (
-        f"error: procedure erosion-1: step 1: {what} span {written} outside sentence of 9 tokens\n"
-    )
-    out = tmp_path / "out"
+    expected = f"procedure erosion-1: step 1: {what} span {written} outside sentence of 9 tokens"
     for command in commands:
-        code = main([*command, "--corpus", str(corpus), "--parses", str(parses),
-                     "--output", str(out)])
-        assert (code, capsys.readouterr().err) == (4, expected), command
-        assert not out.exists(), command
+        argv = [*command, "--corpus", corpus, "--parses", parses, "--output", tmp_path / "out"]
+        assert cli_fails(argv, 4) == expected, command

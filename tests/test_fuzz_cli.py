@@ -6,8 +6,10 @@ with each parser and with a question entity, evaluate).  Whatever the
 mutation, each command exits 0, 2, 3 or 4 with no traceback, and a non-zero
 exit leaves no output file; an exit 0 gives the same bytes when the command
 is run again, and predict gives the same exit, stderr and bytes with
-``--jobs 2``.  The same check runs on the action file with each field swap
-in its step column, which the derandomized examples do not all reach.
+``--jobs 2``; a non-zero exit is checked again by the ``cli_fails``
+fixture, which holds it to the failure contract.  The same check runs on
+the action file with each field swap in its step column, which the
+derandomized examples do not all reach.
 After an out-of-range mutation of a logical-form parse file, every command
 that reads it gives the same exit and stderr.
 
@@ -168,45 +170,38 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-def _check_contract(work: Path, propara: bool) -> dict[str, tuple[int, str]]:
-    """Run every command on the inputs in ``work``.  Each exits 0, 2, 3 or 4
-    with no traceback: exit 0 prints nothing to stderr, and any other exit
-    prints an ``error:`` line and leaves no output file.  An exit 0 gives
-    the same bytes when the command is run again, and predict gives the
-    same exit, stderr and output with ``--jobs 2``.  Returns each
-    command's exit and stderr by the name of its output file."""
+def _check_contract(work: Path, propara: bool, cli_fails) -> dict[str, tuple[int, str]]:
+    """Run every command on the inputs in ``work``.  Each exits 0, 2, 3 or 4:
+    exit 0 prints nothing to stderr and gives the same bytes when the
+    command is run again, and any other exit is run again through
+    ``cli_fails``, which must give the same message.  predict gives the
+    same exit, stderr and output with ``--jobs 2``.  Returns each command's
+    exit and stderr by the name of its output file."""
     results = {}
     for out_name, argv in _commands(work, propara).items():
         out = work / out_name
-        code, err = _run([*argv, "--output", str(out)])
-        results[out_name] = code, err
-        assert code in (0, 2, 3, 4), (argv, code, err)
-        assert "Traceback" not in err, err
+        argv = [*argv, "--output", str(out)]
+        code, err = results[out_name] = _run(argv)
+        reruns = [[], ["--jobs", "2"]] if argv[0] == "predict" else [[]]
         if code == 0:
             assert err == "", (argv, err)
             first = out.read_bytes()
-            out.unlink()
-            reruns = [[]]
-        else:
-            assert err.startswith("error: "), err
-            assert not out.exists(), (argv, code, err)
-            reruns = []
-        if argv[0] == "predict":
-            reruns.append(["--jobs", "2"])
-        for extra in reruns:
-            assert _run([*argv, *extra, "--output", str(out)]) == (code, err), (argv, extra)
-            if code == 0:
-                assert out.read_bytes() == first, (argv, extra)
+            for extra in reruns:
                 out.unlink()
-            else:
-                assert not out.exists(), (argv, extra)
+                assert _run([*argv, *extra]) == (0, ""), (argv, extra)
+                assert out.read_bytes() == first, (argv, extra)
+            out.unlink()
+        else:
+            assert code in (2, 3, 4), (argv, code, err)
+            for extra in reruns:
+                assert f"error: {cli_fails([*argv, *extra], code)}\n" == err, (argv, extra)
     return results
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_every_command_keeps_its_contract_on_mutated_inputs(data):
+def test_every_command_keeps_its_contract_on_mutated_inputs(cli_fails, data):
     name = data.draw(st.sampled_from(JSON_INPUTS + TEXT_INPUTS), label="input")
     mutations = MUTATIONS + ["nest"] if name in JSON_INPUTS else MUTATIONS
     mutation = data.draw(st.sampled_from(mutations), label="mutation")
@@ -224,7 +219,7 @@ def test_every_command_keeps_its_contract_on_mutated_inputs(data):
         else:
             mutate = _mutate_json if name in JSON_INPUTS else _mutate_text
             target.write_text(mutate(data, target.read_text(), mutation))
-        results = _check_contract(work, name.startswith("propara/"))
+        results = _check_contract(work, name.startswith("propara/"), cli_fails)
     if mutation == "out-of-range" and name.endswith(".trips.json"):
         # One span rule: every command but build-graph --parser srl reads
         # a logical-form file, and all of them report its fault alike.
@@ -233,7 +228,7 @@ def test_every_command_keeps_its_contract_on_mutated_inputs(data):
 
 
 @pytest.mark.parametrize("value", FIELD_SWAPS)
-def test_every_command_keeps_its_contract_on_a_swapped_step(value):
+def test_every_command_keeps_its_contract_on_a_swapped_step(cli_fails, value):
     # The property's derandomized examples never put some of these values
     # into the step column of an action file.
     with tempfile.TemporaryDirectory() as tmp:
@@ -245,19 +240,20 @@ def test_every_command_keeps_its_contract_on_a_swapped_step(value):
         fields[1] = value
         lines[0] = "\t".join(fields)
         pred.write_text("".join(lines))
-        _check_contract(work, propara=False)
+        _check_contract(work, False, cli_fails)
 
 
 @settings(max_examples=20, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_evaluate_reads_a_case_variant_entity_as_its_canonical_name(data):
+def test_evaluate_reads_a_case_variant_entity_as_its_canonical_name(cli_fails, data):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         _write_fixtures(work)
         argv = _commands(work, data.draw(st.booleans(), label="propara"))["report.out"]
         out = work / "report.out"
-        assert _run([*argv, "--output", str(out)]) == (0, "")
+        argv += ["--output", str(out)]
+        assert _run(argv) == (0, "")
         expected = out.read_bytes()
         out.unlink()
 
@@ -274,10 +270,8 @@ def test_evaluate_reads_a_case_variant_entity_as_its_canonical_name(data):
                 r[2] = variant
         pred.write_text("".join("\t".join(r) for r in rows))
 
-        code, err = _run([*argv, "--output", str(out)])
         if both:
-            assert code == 4 and "both normalize to" in err, err
-            assert not out.exists()
+            assert "both normalize to" in cli_fails(argv, 4)
         else:
-            assert code == 0, err
+            assert _run(argv) == (0, "")
             assert out.read_bytes() == expected

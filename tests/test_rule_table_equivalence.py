@@ -4,7 +4,7 @@ hand-written rule branches it replaced, kept here as the reference."""
 import random
 
 from statetrack.abstraction import ArgRef, EventFrame
-from statetrack.corpus import Action, Entity, Step, StepAction, tokenize
+from statetrack.corpus import Action, Entity, Step, StepAction, normalize, tokenize
 from statetrack.parses import ActionClass
 from statetrack.rules import RULE_NAMES, LocalDecision, apply_rules, match_argument
 
@@ -12,7 +12,7 @@ from statetrack.rules import RULE_NAMES, LocalDecision, apply_rules, match_argum
 def _reference_loc(ref):
     if ref is None:
         return None
-    norm = ref.norm
+    norm = normalize(ref.text)
     return norm if norm else None
 
 

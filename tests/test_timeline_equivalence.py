@@ -36,7 +36,7 @@ PLACES = [loc for loc in ALPHABET if loc is not None]
 class _Reference:
     @staticmethod
     def passive_locations(timeline, step_index):
-        return [f.location.norm for f in timeline.passive if f.step_index == step_index]
+        return [normalize(f.location.text) for f in timeline.passive if f.step_index == step_index]
 
     @staticmethod
     def fix_actions(timeline, strict_destroy=False):
