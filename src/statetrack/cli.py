@@ -5,10 +5,12 @@ event frames), build-graph (export semantic graphs, optionally extended
 with question nodes), evaluate (run the scoring tiers), and gat-check
 (run the attention-layer invariant suite).
 
-Exit codes: 0 success, 2 usage or configuration error, 3 missing or
-unreadable input file, or an output that cannot be written, 4 schema or
-validation error; each error type in ``errors`` carries its code.  Only
-this module writes to stdout or stderr.
+Exit codes: 0 success, 1 a failed gat-check invariant, 2 usage or
+configuration error (a command line that argparse rejects too), 3 missing
+or unreadable input file, or an output that cannot be written, 4 schema or
+validation error.  ``main`` returns each, and a failure writes the one
+stderr line ``error: <message>``.  Only this module writes to stdout or
+stderr.
 """
 
 from __future__ import annotations
@@ -32,17 +34,21 @@ EXIT_OK = 0
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except StateTrackError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # add_subparsers gives every subcommand this class
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="statetrack",
         description="Track entity locations through procedural text from semantic parses.",
     )

@@ -10,7 +10,6 @@ is found.
 
 from __future__ import annotations
 
-import os
 from collections import namedtuple
 from enum import Enum
 from pathlib import Path
@@ -20,8 +19,6 @@ from .corpus import (
     spans_overlap,
 )
 from .errors import SchemaError
-
-CONFIG_DIR_ENV = "STATETRACK_CONFIG_DIR"
 
 
 class ActionClass(str, Enum):
@@ -244,17 +241,12 @@ def default_role_synonyms(path=None) -> dict[str, str]:
 def _read_config(name: str, path, what: str, columns: tuple[str, str],
                  allowed: tuple[str, ...] | None = None) -> dict[str, str]:
     """The key -> value table of a two-column config TSV: ``path``, else the
-    file ``name`` under $STATETRACK_CONFIG_DIR, else the shipped one.  Both
-    columns are upper-cased here, once (the parse loader upper-cases node
-    types and edge labels, so lookups fold no case).  Blank and "#" lines
-    are skipped.  A repeated key is rejected, not left to override the
-    earlier line, and so is a value outside ``allowed``."""
-    if path is not None:
-        path = Path(path)
-    elif os.environ.get(CONFIG_DIR_ENV):
-        path = Path(os.environ[CONFIG_DIR_ENV]) / name
-    else:
-        path = Path(__file__).parent / "data" / name
+    shipped file ``name``.  Both columns are upper-cased here, once (the
+    parse loader upper-cases node types and edge labels, so lookups fold no
+    case).  Blank and "#" lines are skipped.  A repeated key is rejected,
+    not left to override the earlier line, and so is a value outside
+    ``allowed``."""
+    path = Path(__file__).parent / "data" / name if path is None else Path(path)
     table: dict[str, str] = {}
     for lineno, fields in read_tsv(path, what, columns, comments=True):
         key, value = (f.strip().upper() for f in fields)

@@ -65,35 +65,22 @@ def cli_fails():
     and returns its error message.
 
     The failure contract: the exit code is ``code``; stderr is the one line
-    ``error: <message>``, or for an argparse usage error (exit 2) the usage
-    and then one line holding ``error: <message>``, with no traceback;
-    stdout is empty; the ``--output`` file does not exist, or is the
-    directory it was before the run; and no forked child is left."""
+    ``error: <message>``, so no traceback; stdout is empty; the ``--output``
+    file does not exist, or is the directory it was before the run; and no
+    forked child is left."""
 
     def run(argv, code):
         argv = [str(a) for a in argv]
         output = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
         was_dir = output is not None and output.is_dir()
         out, err = io.StringIO(), io.StringIO()
-        usage = False
         with redirect_stdout(out), redirect_stderr(err):
-            try:
-                got = main(argv)
-            except SystemExit as exc:  # argparse rejected the command line
-                got, usage = exc.code, True
+            got = main(argv)
         err = err.getvalue()
         assert got == code, (argv, got, err)
-        assert "Traceback" not in err, err
         assert out.getvalue() == "", (argv, out.getvalue())
-        assert err.endswith("\n"), err
-        if usage:
-            lines = err[:-1].split("\n")
-            assert err.startswith("usage: ") and got == 2, err
-            assert [line for line in lines if "error: " in line] == lines[-1:], err
-            message = lines[-1].split("error: ", 1)[1]
-        else:
-            assert err.startswith("error: ") and err.count("\n") == 1, err
-            message = err[len("error: "):-1]
+        assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+        message = err[len("error: "):-1]
         if output is not None:
             assert output.is_dir() if was_dir else not output.exists(), (argv, message)
         with pytest.raises(ChildProcessError):

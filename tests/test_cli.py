@@ -224,21 +224,24 @@ class TestPredict:
         assert main(argv) == 0
         assert (tmp_path / "pred.tsv").read_bytes() == golden
 
-    @pytest.mark.parametrize("by", ["flag", "environment"])
-    def test_config_files_named_by_flag_or_environment(self, data_dir, tmp_path, monkeypatch,
-                                                       by):
+    def test_config_files_named_by_flag(self, data_dir, tmp_path):
         # Copies of the shipped configuration files, named by --ontology,
-        # --classes and --roles or by STATETRACK_CONFIG_DIR, read as the
-        # defaults do.
+        # --classes and --roles, read as the defaults do.
         names = {"--ontology": "ontology.tsv", "--classes": "action_classes.tsv",
                  "--roles": "role_synonyms.tsv"}
         for name in names.values():
             (tmp_path / name).write_bytes((SRC / "statetrack" / "data" / name).read_bytes())
         argv, golden = _fixture("predict", data_dir, tmp_path / "pred.tsv")
-        if by == "flag":
-            argv += [a for flag, name in names.items() for a in (flag, str(tmp_path / name))]
-        else:
-            monkeypatch.setenv("STATETRACK_CONFIG_DIR", str(tmp_path))
+        argv += [a for flag, name in names.items() for a in (flag, str(tmp_path / name))]
+        assert main(argv) == 0
+        assert (tmp_path / "pred.tsv").read_bytes() == golden
+
+    def test_config_dir_environment_changes_no_output(self, data_dir, tmp_path, monkeypatch):
+        # A table comes from its flag or from the shipped file; the
+        # environment is not read, even when the file it names is malformed.
+        (tmp_path / "ontology.tsv").write_text("one column only\n")
+        monkeypatch.setenv("STATETRACK_CONFIG_DIR", str(tmp_path))
+        argv, golden = _fixture("predict", data_dir, tmp_path / "pred.tsv")
         assert main(argv) == 0
         assert (tmp_path / "pred.tsv").read_bytes() == golden
 
@@ -620,6 +623,16 @@ class TestOtherCommands:
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_gat_check_failed_invariant_is_exit_1(self, capsys, monkeypatch):
+        from statetrack import gat
+
+        monkeypatch.setattr(gat, "check_invariants", lambda seed, rounds: ["round 0: broken"])
+        assert main(["gat-check", "--rounds", "1"]) == 1
+        out = capsys.readouterr().out
+        assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+            "FAIL round 0: broken"
+        ]
 
 
 def _copy_inputs(data_dir, tmp_path):
@@ -1102,6 +1115,33 @@ class TestValuesThatSelectNothing:
         assert f"--rounds: must be at least 1, got {rounds}" in (
             cli_fails(["gat-check", "--rounds", rounds], 2)
         )
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["track"], "argument command: invalid choice: 'track'"),
+    (["predict", "--corpus", "c.json", "--output", "o.tsv"],
+     "the following arguments are required: --parses"),
+    (["predict", "--corpus", "c.json", "--parses", "p", "--output", "o.tsv", "--shard", "1"],
+     "unrecognized arguments: --shard 1"),
+    (["evaluate", "--pred", "p.tsv", "--corpus", "c.json", "--tier", "cell"],
+     "argument --tier: invalid choice: 'cell'"),
+    (["predict", "--corpus", "c.json", "--parses", "p", "--output", "o.tsv", "--jobs", "0"],
+     "argument --jobs: must be at least 1, got 0"),
+    (["gat-check", "--rounds", "0"], "argument --rounds: must be at least 1, got 0"),
+], ids=["no-command", "unknown-command", "missing-option", "unknown-option", "bad-choice",
+        "jobs-0", "rounds-0"])
+def test_rejected_command_line_is_one_error_line(cli_fails, argv, message):
+    # main returns argparse's rejection as exit 2 with one "error:" line,
+    # as it returns every other failure; it raises no SystemExit.
+    assert message in cli_fails(argv, 2)
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: statetrack predict ")
 
 
 def test_integer_node_ids_give_the_bytes_of_their_decimal_text(data_dir, tmp_path):

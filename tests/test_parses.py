@@ -353,11 +353,6 @@ class TestOntologyClass:
 
 
 class TestConfigFiles:
-    def test_env_override(self, tmp_path, monkeypatch):
-        (tmp_path / "ontology.tsv").write_text("CHILD\tPARENT\n")
-        monkeypatch.setenv("STATETRACK_CONFIG_DIR", str(tmp_path))
-        assert default_ontology() == {"CHILD": "PARENT"}
-
     def test_bad_class_rejected(self, tmp_path):
         path = tmp_path / "classes.tsv"
         path.write_text("MOTION\tTELEPORT\n")
