@@ -24,7 +24,7 @@ from pathlib import Path
 # Only the readers every command shares are imported here; each command
 # imports the modules that it alone uses, so it loads no other command's.
 from . import corpus as corpus_mod
-from .errors import ConfigError, SchemaError, StateTrackError
+from .errors import ConfigError, InputFileError, SchemaError, StateTrackError
 from .parses import (
     default_class_map, default_ontology, default_role_synonyms, load_srl, load_trips,
     parses_by_step,
@@ -340,7 +340,7 @@ def cmd_evaluate(args) -> int:
     if args.output:
         corpus_mod.write_output(args.output, [rendered])
     else:
-        sys.stdout.write(rendered)
+        _write_stdout(rendered)
     return EXIT_OK
 
 
@@ -349,17 +349,37 @@ def cmd_gat_check(args) -> int:
 
     failures = gat.check_invariants(seed=args.seed, rounds=args.rounds)
     if args.format == "json":
-        print(json.dumps({"seed": args.seed, "rounds": args.rounds, "failures": failures}))
+        lines = [json.dumps({"seed": args.seed, "rounds": args.rounds, "failures": failures})]
     else:
-        for failure in failures:
-            print(f"FAIL {failure}")
         status = "ok" if not failures else f"{len(failures)} failure(s)"
-        print(f"gat-check seed={args.seed} rounds={args.rounds}: {status}")
+        lines = [*(f"FAIL {failure}" for failure in failures),
+                 f"gat-check seed={args.seed} rounds={args.rounds}: {status}"]
+    _write_stdout("".join(f"{line}\n" for line in lines))
     return EXIT_OK if not failures else 1
 
 
 def _write_json(path, obj) -> None:
     corpus_mod.write_output(path, [corpus_mod.render_json(obj), "\n"])
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it.  A stdout that cannot take it
+    (a pipe whose reader has gone) is an InputFileError, as an output file
+    that cannot be written is; stdout's descriptor then points at
+    os.devnull, so the flush at interpreter exit has nothing to fail on."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            fd = sys.stdout.fileno()
+        except OSError:  # an in-process stream with no descriptor
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise InputFileError(f"cannot write stdout: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -337,19 +337,29 @@ def read_tsv(path, what: str, columns: tuple[str, ...], comments: bool = False):
 
 def write_output(path, parts) -> None:
     """Write the strings ``parts`` to an output file, opened once, as UTF-8
-    whatever the locale.  A file that cannot be opened or written is an
-    InputFileError ``"cannot write {path}: ..."``; text that UTF-8 cannot
-    encode (an unpaired surrogate, which a JSON ``\\ud800`` escape gives) is a
-    SchemaError, and the file is removed.  Every output file is written here."""
+    whatever the locale.  A file that cannot be opened or written (a full
+    disk, say) is an InputFileError ``"cannot write {path}: ..."``; text that
+    UTF-8 cannot encode (an unpaired surrogate, which a JSON ``\\ud800``
+    escape gives) is a SchemaError.  A write that fails once the file is open
+    removes it, so no partial output is left, but only a regular file: a
+    device or a pipe, such as ``/dev/stdout``, stays.  Every output file is
+    written here."""
     try:
-        with open(path, "w", encoding="utf-8") as out:
-            for part in parts:
-                out.write(part)
+        out = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise InputFileError(f"cannot write {path}: {exc.strerror}") from None
-    except UnicodeEncodeError as exc:
-        Path(path).unlink()
-        raise SchemaError(f"cannot write {path}: {exc}") from None
+    try:
+        with out:
+            for part in parts:
+                out.write(part)
+    except BaseException as exc:
+        if Path(path).is_file():
+            Path(path).unlink()
+        if isinstance(exc, OSError):
+            raise InputFileError(f"cannot write {path}: {exc.strerror}") from None
+        if isinstance(exc, UnicodeEncodeError):
+            raise SchemaError(f"cannot write {path}: {exc}") from None
+        raise
 
 
 def render_json(obj) -> str:

@@ -66,13 +66,14 @@ def cli_fails():
 
     The failure contract: the exit code is ``code``; stderr is the one line
     ``error: <message>``, so no traceback; stdout is empty; the ``--output``
-    file does not exist, or is the directory it was before the run; and no
-    forked child is left."""
+    file does not exist, even when a write failed after it was opened, or
+    is the directory or device it was before the run; and no forked child
+    is left."""
 
     def run(argv, code):
         argv = [str(a) for a in argv]
         output = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
-        was_dir = output is not None and output.is_dir()
+        kept = output is not None and output.exists() and not output.is_file()
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             got = main(argv)
@@ -82,7 +83,7 @@ def cli_fails():
         assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
         message = err[len("error: "):-1]
         if output is not None:
-            assert output.is_dir() if was_dir else not output.exists(), (argv, message)
+            assert output.exists() == kept and not output.is_file(), (argv, message)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         return message

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 import statetrack
 from genutil import write_paragraphs_tsv
+from statetrack import corpus as corpus_mod
 from statetrack.cli import main
 
 # The directory the package under test was imported from: this checkout's
@@ -22,21 +24,28 @@ def _env() -> dict:
     return env
 
 
-def _loaded_by_cli_import(*modules: str, argv=None, code: str = "") -> list[str]:
-    """Those of ``modules`` a fresh interpreter has loaded after importing
-    statetrack.cli, running ``code`` and, given ``argv``, running that
-    command.  A module the bare interpreter had already loaded (a site hook
-    may load some) is not counted."""
-    run = "" if argv is None else f"assert statetrack.cli.main({list(map(str, argv))!r}) == 0\n"
-    probe = (
-        "import sys\nbare = set(sys.modules)\nimport statetrack.cli\n"
-        f"{code}{run}print(*[m for m in {modules!r} if m in sys.modules and m not in bare])\n"
-    )
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=_env(), capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    return result.stdout.split()
+# Modules that a run loads only where its import budget names them: numpy,
+# a process pool, the dataclass machinery (records are named tuples and
+# slotted classes), logging (no library module logs) and pickle (only a
+# predict that forks sends rows back).
+_WATCHED = {"numpy", "multiprocessing", "concurrent.futures", "dataclasses", "inspect",
+            "logging", "pickle"}
+
+
+def _loaded_by(code: str, argv=(), **env):
+    """Run ``code``, with ``argv`` as ``sys.argv[1:]``, in a fresh
+    interpreter with every warning an error.  Returns the run and the
+    modules it loaded that an import budget counts: statetrack's other than
+    cli, named without the package, and the watched ones.  A module the bare
+    interpreter had already loaded (a site hook may load some) is not
+    counted.  The names are printed on stdout after ``code`` has run."""
+    probe = ("import sys\nbare = set(sys.modules)\n"
+             f"try:\n    exec({code!r})\nfinally:\n    print(*set(sys.modules) - bare)\n")
+    result = subprocess.run([sys.executable, "-W", "error", "-c", probe, *map(str, argv)],
+                            env={**_env(), **env}, capture_output=True, text=True, timeout=60)
+    loaded = set(result.stdout.split())
+    package = {m.removeprefix("statetrack.") for m in loaded if m.startswith("statetrack.")}
+    return result, package - {"cli"} | loaded & _WATCHED
 
 
 def _predict_args(data_dir, out, extra=()):
@@ -59,39 +68,46 @@ def _evaluate_args(d, out, extra=()):
 
 # The one table of golden files: every command but gat-check on the
 # fixtures, as a name -> (its golden file under data/golden, (data
-# directory, output path) -> argv).  predictions.tsv is written twice, by
-# one process and by two.
+# directory, output path) -> argv, its import budget).  predictions.tsv is
+# written twice, by one process and by two.  A run's import budget is the
+# exact set of modules that _loaded_by counts for it: the readers every
+# command shares (_SHARED), the modules its command alone uses, and pickle
+# for the one run that forks.
+_SHARED = "corpus errors parses"
 _FIXTURE_COMMANDS = {
-    "predict": ("predictions.tsv", _predict_args),
-    "predict --jobs 2": ("predictions.tsv", lambda d, out: _predict_args(d, out, ["--jobs", "2"])),
+    "predict": ("predictions.tsv", _predict_args, "abstraction reasoning rules"),
+    "predict --jobs 2": ("predictions.tsv", lambda d, out: _predict_args(d, out, ["--jobs", "2"]),
+                         "abstraction reasoning rules pickle"),
     "predict --format json": (
-        "predictions.json", lambda d, out: _predict_args(d, out, ["--format", "json"])),
+        "predictions.json", lambda d, out: _predict_args(d, out, ["--format", "json"]),
+        "abstraction reasoning rules"),
     "abstract": ("abstract.json", lambda d, out: [
         "abstract", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
         "--output", out,
-    ]),
-    "evaluate": ("report_seeded.json", _evaluate_args),
+    ], "abstraction"),
+    "evaluate": ("report_seeded.json", _evaluate_args, "abstraction metrics"),
     "evaluate --format table": (
-        "report_seeded.txt", lambda d, out: _evaluate_args(d, out, ["--format", "table"])),
+        "report_seeded.txt", lambda d, out: _evaluate_args(d, out, ["--format", "table"]),
+        "abstraction metrics"),
     "build-graph": ("graphs_trips.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
         "--parses", d / "parses", "--output", out,
-    ]),
+    ], "semgraph"),
     "build-graph --qa-entity": ("graphs_qa.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_small.json", "--coref", d / "coref_small.json",
         "--parses", d / "parses", "--output", out,
         "--qa-entity", "water", "--qa-entity", "magma", "--qa-entity", "rock",
-    ]),
+    ], "semgraph"),
     "build-graph --parser srl": ("graphs_srl.json", lambda d, out: [
         "build-graph", "--corpus", d / "corpus_predict.json", "--parses", d / "parses",
         "--parser", "srl", "--output", out,
-    ]),
+    ], "semgraph"),
 }
 
 
 def _fixture(name, data_dir, out):
     """A table row's argv, writing to ``out``, and its golden bytes."""
-    golden, argv = _FIXTURE_COMMANDS[name]
+    golden, argv, _ = _FIXTURE_COMMANDS[name]
     return [str(a) for a in argv(data_dir, out)], (data_dir / "golden" / golden).read_bytes()
 
 
@@ -102,19 +118,54 @@ def test_golden_file(data_dir, tmp_path, name):
     assert (tmp_path / "out").read_bytes() == golden
 
 
+@pytest.fixture(scope="module")
+def fresh_run(data_dir, tmp_path_factory):
+    """Runs a golden row as python -m statetrack.cli runs it, under a hash
+    seed, in a fresh interpreter with every warning an error; each row and
+    seed runs once in this module.  Returns the bytes the run wrote and the
+    modules that _loaded_by counts for it."""
+    runs = {}
+
+    def run(name, seed="0"):
+        if (name, seed) not in runs:
+            out = tmp_path_factory.mktemp("fresh") / "out"
+            result, loaded = _loaded_by(
+                "import runpy\n"
+                "runpy.run_module('statetrack.cli', run_name='__main__', alter_sys=True)",
+                _fixture(name, data_dir, out)[0], PYTHONHASHSEED=seed,
+            )
+            runs[name, seed] = result, out.read_bytes() if out.exists() else None, loaded
+        result, written, loaded = runs[name, seed]
+        assert result.returncode == 0, result.stderr
+        return written, loaded
+
+    return run
+
+
+@pytest.fixture(scope="module")
+def setup_loads():
+    """The modules that the set-up probe of bench/run.py (SETUP_CODE) loads:
+    the CLI import plus the three default configuration files."""
+    result, loaded = _loaded_by(
+        "import statetrack.cli\n"
+        "from statetrack.abstraction import default_role_synonyms\n"
+        "from statetrack.parses import default_class_map, default_ontology\n"
+        "default_ontology(); default_class_map(); default_role_synonyms()\n"
+    )
+    assert result.returncode == 0, result.stderr
+    return loaded
+
+
 # The string hash seed, fixed when an interpreter starts, orders sets of
 # strings; it must not change a byte.  -W error fails a run on any warning,
 # such as the one Python 3.12+ gives when --jobs forks a process with threads.
+# The run loads exactly the modules of its import budget.
 @pytest.mark.parametrize("seed", ["0", "1"])
 @pytest.mark.parametrize("name", sorted(_FIXTURE_COMMANDS))
-def test_golden_file_under_hash_seed(data_dir, tmp_path, name, seed):
-    argv, golden = _fixture(name, data_dir, tmp_path / "out")
-    result = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "statetrack.cli", *argv],
-        env={**_env(), "PYTHONHASHSEED": seed}, capture_output=True, text=True, timeout=60,
-    )
-    assert result.returncode == 0, result.stderr
-    assert (tmp_path / "out").read_bytes() == golden
+def test_golden_file_under_hash_seed(data_dir, fresh_run, name, seed):
+    written, loaded = fresh_run(name, seed)
+    assert written == _fixture(name, data_dir, "out")[1]
+    assert loaded == set(f"{_SHARED} {_FIXTURE_COMMANDS[name][2]}".split())
 
 
 class TestPredict:
@@ -255,14 +306,6 @@ class TestPredict:
         assert out.read_bytes() == b""
         assert main(["evaluate", "--pred", str(out), "--corpus", str(corpus),
                      "--tier", "sentence", "--output", str(tmp_path / "report.json")]) == 0
-
-    def test_srl_parser_rejected(self, data_dir, tmp_path, cli_fails):
-        # predict and abstract read logical-form parses only, so neither
-        # takes --parser; build-graph keeps it.
-        for command in ("predict", "abstract"):
-            argv = _predict_args(data_dir, tmp_path / "x.out", ["--parser", "srl"])
-            argv[0] = command
-            assert "unrecognized arguments: --parser srl" in cli_fails(argv, 2)
 
     def test_missing_corpus_is_exit_3(self, data_dir, tmp_path, cli_fails):
         args = _predict_args(data_dir, tmp_path / "x.tsv")
@@ -500,13 +543,6 @@ class TestDeterminism:
 
 
 class TestOtherCommands:
-    @pytest.mark.parametrize("command", ["abstract", "build-graph"])
-    def test_format_is_a_usage_error(self, data_dir, tmp_path, cli_fails, command):
-        # Both write JSON only, so neither takes --format.
-        argv = _predict_args(data_dir, tmp_path / "x.json", ["--format", "json"])
-        argv[0] = command
-        assert "unrecognized arguments: --format json" in cli_fails(argv, 2)
-
     def test_abstract(self, data_dir, tmp_path):
         argv, _ = _fixture("abstract", data_dir, tmp_path / "events.json")
         assert main(argv) == 0
@@ -558,67 +594,54 @@ class TestOtherCommands:
         kinds = {n["kind"] for n in graphs[0]["graph"]["nodes"]}
         assert "question" in kinds and "step" in kinds
 
-    def test_cli_import_does_not_load_numpy(self):
-        assert not _loaded_by_cli_import("numpy")
+    # The import rules below are read off the runs that the hash-seed test
+    # and the set-up probe make, so they start no interpreter of their own.
+    def test_cli_import_does_not_load_numpy(self, setup_loads):
+        assert "numpy" not in setup_loads
 
-    def test_cli_import_does_not_load_multiprocessing(self):
-        assert not _loaded_by_cli_import("multiprocessing")
+    def test_cli_import_does_not_load_multiprocessing(self, setup_loads):
+        assert "multiprocessing" not in setup_loads
 
     # predict --jobs forks its own children, so no run loads a process pool,
     # and only a run that forks loads pickle.
     @pytest.mark.parametrize("jobs, loaded", [("1", []), ("2", ["pickle"])])
-    def test_predict_loads_pickle_only_when_it_forks(self, data_dir, tmp_path, jobs, loaded):
-        argv = _predict_args(data_dir, tmp_path / "pred.tsv", ["--jobs", jobs])
-        modules = ("pickle", "multiprocessing", "concurrent.futures")
-        assert _loaded_by_cli_import(*modules, argv=argv) == loaded
+    def test_predict_loads_pickle_only_when_it_forks(self, fresh_run, jobs, loaded):
+        modules = fresh_run("predict --jobs 2" if jobs == "2" else "predict")[1]
+        assert sorted(modules & {"pickle", "multiprocessing", "concurrent.futures"}) == loaded
 
-    def test_cli_import_loads_no_command_module(self):
-        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.semgraph",
-                                         "statetrack.reasoning", "statetrack.rules")
+    def test_cli_import_loads_no_command_module(self, setup_loads):
+        assert setup_loads == set(f"{_SHARED} abstraction".split())
 
-    def test_predict_loads_neither_metrics_nor_semgraph(self, data_dir, tmp_path):
-        argv = _predict_args(data_dir, tmp_path / "pred.tsv")
-        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.semgraph", argv=argv)
+    def test_predict_loads_neither_metrics_nor_semgraph(self, fresh_run):
+        assert not fresh_run("predict")[1] & {"metrics", "semgraph"}
 
-    def test_build_graph_loads_neither_metrics_nor_reasoning(self, data_dir, tmp_path):
-        argv = ["build-graph", "--corpus", data_dir / "corpus_predict.json",
-                "--parses", data_dir / "parses", "--output", tmp_path / "graphs.json"]
-        assert not _loaded_by_cli_import("statetrack.metrics", "statetrack.reasoning", argv=argv)
+    def test_build_graph_loads_neither_metrics_nor_reasoning(self, fresh_run):
+        assert not fresh_run("build-graph")[1] & {"metrics", "reasoning"}
 
     # Records are named tuples and slotted classes, so no command but
     # gat-check loads dataclasses, nor the inspect module it imports.
     @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
-    def test_command_loads_no_dataclass_machinery(self, data_dir, tmp_path, command):
-        argv, _ = _fixture(command, data_dir, tmp_path / "out")
-        assert not _loaded_by_cli_import("dataclasses", "inspect", argv=argv)
+    def test_command_loads_no_dataclass_machinery(self, fresh_run, command):
+        assert not fresh_run(command)[1] & {"dataclasses", "inspect"}
 
     # No library module imports logging; its one notice is printed to stderr.
     @pytest.mark.parametrize("command", sorted(_FIXTURE_COMMANDS))
-    def test_command_loads_no_logging(self, data_dir, tmp_path, command):
-        argv, _ = _fixture(command, data_dir, tmp_path / "out")
-        assert not _loaded_by_cli_import("logging", argv=argv)
+    def test_command_loads_no_logging(self, fresh_run, command):
+        assert "logging" not in fresh_run(command)[1]
 
-    def test_build_graph_names_an_unlinked_qa_entity_on_stderr(self, data_dir, tmp_path):
+    def test_benchmark_setup_loads_no_dataclass_machinery(self, setup_loads):
+        assert not setup_loads & {"dataclasses", "inspect"}
+
+    def test_build_graph_names_an_unlinked_qa_entity_on_stderr(self, data_dir, tmp_path,
+                                                               capsys):
         # Of water, magma and rock, no node of the fixture corpus mentions
         # rock: its question node is left unconnected, and exactly this line
         # says so.
         argv, _ = _fixture("build-graph --qa-entity", data_dir, tmp_path / "graphs.json")
-        result = subprocess.run([sys.executable, "-m", "statetrack.cli", *argv],
-                                env=_env(), capture_output=True, timeout=60)
-        assert result.returncode == 0
-        assert result.stderr == (
-            b"entity 'rock' has no node in the graph; question node left unconnected\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().err == (
+            "entity 'rock' has no node in the graph; question node left unconnected\n"
         )
-
-    def test_benchmark_setup_loads_no_dataclass_machinery(self):
-        # The set-up probe of bench/run.py (SETUP_CODE): the CLI import plus
-        # the three default configuration files.
-        code = (
-            "from statetrack.abstraction import default_role_synonyms\n"
-            "from statetrack.parses import default_class_map, default_ontology\n"
-            "default_ontology(); default_class_map(); default_role_synonyms()\n"
-        )
-        assert not _loaded_by_cli_import("dataclasses", "inspect", code=code)
 
     def test_gat_check(self, capsys):
         assert main(["gat-check", "--seed", "1", "--rounds", "5"]) == 0
@@ -958,6 +981,73 @@ class TestUnreadableFiles:
         message = cli_fails(["predict", "--corpus", corpus, "--parses", parses, "--output", out], 4)
         assert message.startswith(f"cannot write {out}: ") and "surrogates" in message
 
+    def test_write_that_fails_once_the_file_is_open_is_exit_3(self, data_dir, tmp_path,
+                                                              cli_fails, monkeypatch):
+        """A disk that fills part-way through the write: half the text
+        reaches the file, then the write fails, and the file is removed."""
+        sizes = []
+
+        def open_on_a_full_disk(path, *args, **kwargs):
+            file = open(path, *args, **kwargs)
+
+            def write(text):
+                type(file).write(file, text[:len(text) // 2])
+                file.flush()
+                sizes.append(os.path.getsize(path))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            file.write = write
+            return file
+
+        monkeypatch.setattr(corpus_mod, "open", open_on_a_full_disk, raising=False)
+        out = tmp_path / "pred.tsv"
+        assert cli_fails(_predict_args(data_dir, out), 3) == (
+            f"cannot write {out}: {os.strerror(errno.ENOSPC)}"
+        )
+        assert sizes[0] > 0
+
+    @pytest.mark.parametrize("device, word, code", [("/dev/full", "library", 3),
+                                                    ("/dev/null", "\\ud800", 4)],
+                             ids=["full-device", "surrogate"])
+    def test_failed_write_to_a_device_removes_nothing(self, data_dir, tmp_path, cli_fails,
+                                                      monkeypatch, device, word, code):
+        """/dev/full fails every write for want of space, and no device takes
+        text that UTF-8 cannot encode; either way the device stays.  Unlink
+        is patched, so that a wrong guard records the device, not removes it."""
+        if not os.path.exists(device):
+            pytest.skip(f"no {device}")
+        corpus, parses = _copy_inputs(data_dir, tmp_path)
+        book = parses / "book-1.trips.json"
+        book.write_text(book.read_text().replace('"word": "library"', f'"word": "{word}"'))
+        removed = []
+        monkeypatch.setattr(os, "unlink", removed.append)
+        monkeypatch.setattr(os, "remove", removed.append)
+        argv = ["predict", "--corpus", corpus, "--parses", parses, "--output", device]
+        assert cli_fails(argv, code).startswith(f"cannot write {device}: ")
+        assert removed == []
+
+
+@pytest.mark.parametrize("command", ["evaluate", "gat-check"])
+def test_closed_stdout_is_exit_3(data_dir, command):
+    """A command that prints to a stdout whose reader has gone exits 3 with
+    one error line, and the interpreter's flush at exit adds nothing.
+    PYTHONUNBUFFERED is dropped, so the text waits in stdout's buffer."""
+    argv = {
+        "evaluate": ["evaluate", "--pred", data_dir / "pred_seeded.tsv",
+                     "--corpus", data_dir / "corpus_small.json", "--tier", "sentence"],
+        "gat-check": ["gat-check", "--rounds", "1"],
+    }[command]
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in _env().items() if k != "PYTHONUNBUFFERED"}
+    try:
+        result = subprocess.run([sys.executable, "-m", "statetrack.cli", *argv], stdout=write,
+                                stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (
+        3, f"error: cannot write stdout: {os.strerror(errno.EPIPE)}\n")
+
 
 def test_files_are_utf8_whatever_the_locale(data_dir, tmp_path):
     """Under an ASCII locale, predict and evaluate read and write UTF-8 and
@@ -1117,20 +1207,28 @@ class TestValuesThatSelectNothing:
         )
 
 
+_INPUTS = ["--corpus", "c.json", "--parses", "p", "--output", "o.out"]
+
+
+# predict and abstract read logical-form parses only, so neither takes
+# --parser; abstract and build-graph write JSON only, so neither takes --format.
 @pytest.mark.parametrize("argv, message", [
     ([], "the following arguments are required: command"),
     (["track"], "argument command: invalid choice: 'track'"),
     (["predict", "--corpus", "c.json", "--output", "o.tsv"],
      "the following arguments are required: --parses"),
-    (["predict", "--corpus", "c.json", "--parses", "p", "--output", "o.tsv", "--shard", "1"],
-     "unrecognized arguments: --shard 1"),
+    (["predict", *_INPUTS, "--shard", "1"], "unrecognized arguments: --shard 1"),
     (["evaluate", "--pred", "p.tsv", "--corpus", "c.json", "--tier", "cell"],
      "argument --tier: invalid choice: 'cell'"),
-    (["predict", "--corpus", "c.json", "--parses", "p", "--output", "o.tsv", "--jobs", "0"],
-     "argument --jobs: must be at least 1, got 0"),
+    (["predict", *_INPUTS, "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
     (["gat-check", "--rounds", "0"], "argument --rounds: must be at least 1, got 0"),
+    (["predict", *_INPUTS, "--parser", "srl"], "unrecognized arguments: --parser srl"),
+    (["abstract", *_INPUTS, "--parser", "srl"], "unrecognized arguments: --parser srl"),
+    (["abstract", *_INPUTS, "--format", "json"], "unrecognized arguments: --format json"),
+    (["build-graph", *_INPUTS, "--format", "json"], "unrecognized arguments: --format json"),
 ], ids=["no-command", "unknown-command", "missing-option", "unknown-option", "bad-choice",
-        "jobs-0", "rounds-0"])
+        "jobs-0", "rounds-0", "predict-parser", "abstract-parser", "abstract-format",
+        "build-graph-format"])
 def test_rejected_command_line_is_one_error_line(cli_fails, argv, message):
     # main returns argparse's rejection as exit 2 with one "error:" line,
     # as it returns every other failure; it raises no SystemExit.
